@@ -1,13 +1,15 @@
 // Golden-stats harness: the bit-identity gate for the simulator core.
 //
-// TestGoldenStats runs every bundled workload under four representative
-// schemes (baseline, DLVP, VTAGE, tournament) at a fixed instruction
-// budget and compares the complete RunStats — every counter, rate and
+// TestGoldenStats runs every bundled workload under every scheme preset
+// (baseline, DLVP, CAP, VTAGE, tournament, D-VTAGE) plus all-instruction
+// VTAGE (the Fig 7 mode, the only one with the all-instruction coverage
+// denominator) at a fixed instruction budget and compares the complete RunStats — every counter, rate and
 // energy figure — byte-for-byte against the committed snapshot in
 // testdata/golden_stats.json. A subset of workloads additionally runs
 // with a sample window, the flight recorder and the per-site attribution
 // collector enabled, and their timeline and siteprof artifacts are
-// diffed the same way, so a core change that perturbs only sampled or
+// diffed the same way (under DLVP, and under CAP for one workload), so a
+// core change that perturbs only sampled or
 // profiled runs cannot slip through.
 //
 // Any intentional timing change (e.g. a documented modelling fix) must
@@ -50,19 +52,29 @@ const (
 	goldenMaxSites   = 32
 )
 
-// goldenSchemes are the four configurations the acceptance criteria name.
+// goldenSchemes are the configurations every workload runs under.
 func goldenSchemes() map[string]config.Core {
+	vtageAll := config.VTAGE()
+	vtageAll.VP.VTAGE.LoadsOnly = false
 	return map[string]config.Core{
 		"baseline":   config.Baseline(),
 		"dlvp":       config.DLVP(),
+		"cap":        config.CAPDLVP(),
 		"vtage":      config.VTAGE(),
+		"vtage-all":  vtageAll,
 		"tournament": config.Tournament(),
+		"dvtage":     config.DVTAGE(),
 	}
 }
 
 // goldenSampledWorkloads get the timeline + siteprof + sample-window
 // treatment (under DLVP, the scheme with the most machinery engaged).
 var goldenSampledWorkloads = []string{"perlbmk", "mcf", "gap", "vortex", "twolf"}
+
+// goldenCAPSampledWorkload additionally gets that treatment under CAP,
+// pinning the CAP side of the site attribution and CAP's (empty) APT
+// timeline counters.
+const goldenCAPSampledWorkload = "perlbmk"
 
 // goldenCell is one (workload, scheme) snapshot. Stats is the complete
 // RunStats; Timeline/Sites are the optional sampled artifacts.
@@ -126,7 +138,8 @@ func goldenSampledRun(t *testing.T, workload string, cfg config.Core) goldenCell
 }
 
 // buildGolden produces the full snapshot map: one cell per
-// workload/scheme, plus workload/dlvp-sampled cells for the subset.
+// workload/scheme, plus workload/dlvp-sampled cells for the subset and
+// one workload/cap-sampled cell.
 func buildGolden(t *testing.T) map[string]goldenCell {
 	t.Helper()
 	type job struct {
@@ -144,6 +157,8 @@ func buildGolden(t *testing.T) map[string]goldenCell {
 	for _, wl := range goldenSampledWorkloads {
 		jobs = append(jobs, job{key: wl + "/dlvp-sampled", workload: wl, cfg: config.DLVP(), sampled: true})
 	}
+	jobs = append(jobs, job{key: goldenCAPSampledWorkload + "/cap-sampled",
+		workload: goldenCAPSampledWorkload, cfg: config.CAPDLVP(), sampled: true})
 	sort.Slice(jobs, func(i, j int) bool { return jobs[i].key < jobs[j].key })
 
 	out := make(map[string]goldenCell, len(jobs))
@@ -272,8 +287,8 @@ func TestGoldenHarnessDetectsDrift(t *testing.T) {
 	if err := json.Unmarshal(want, &cells); err != nil {
 		t.Fatal(err)
 	}
-	if len(cells) < 43*4 {
-		t.Fatalf("golden file has %d cells, want >= %d (43 workloads x 4 schemes)", len(cells), 43*4)
+	if len(cells) < 43*7 {
+		t.Fatalf("golden file has %d cells, want >= %d (43 workloads x 7 schemes)", len(cells), 43*7)
 	}
 	for k, cell := range cells {
 		var stats map[string]any
