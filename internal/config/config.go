@@ -10,6 +10,7 @@ import (
 	"dlvp/internal/branch"
 	"dlvp/internal/mdp"
 	"dlvp/internal/mem"
+	"dlvp/internal/predictor"
 	"dlvp/internal/predictor/cap"
 	"dlvp/internal/predictor/dvtage"
 	"dlvp/internal/predictor/pap"
@@ -38,21 +39,67 @@ const (
 	VPDVTAGE
 )
 
-func (s VPScheme) String() string {
-	switch s {
-	case VPDLVP:
-		return "dlvp"
-	case VPCAP:
-		return "cap"
-	case VPVTAGE:
-		return "vtage"
-	case VPTournament:
-		return "tournament"
-	case VPDVTAGE:
-		return "dvtage"
-	default:
-		return "baseline"
+// schemeRow is one scheme: its wire name and component constructors (nil:
+// no such component), each given the core's window slot count.
+type schemeRow struct {
+	name    string
+	address func(VPConfig, int) predictor.AddressPredictor
+	value   func(VPConfig, int) predictor.ValuePredictor
+	chooser func(VPConfig) predictor.Chooser
+}
+
+// schemes is the scheme table, indexed by VPScheme. The wire names, the
+// presets and the core's components all read it; adding a predictor is
+// its package plus one row here.
+var schemes = [...]schemeRow{
+	VPNone:       {name: "baseline"},
+	VPDLVP:       {name: "dlvp", address: newPAP},
+	VPCAP:        {name: "cap", address: newCAP},
+	VPVTAGE:      {name: "vtage", value: newVTAGE},
+	VPTournament: {name: "tournament", address: newPAP, value: newVTAGE, chooser: newChooser},
+	VPDVTAGE:     {name: "dvtage", value: newDVTAGE},
+}
+
+func newPAP(vp VPConfig, n int) predictor.AddressPredictor  { return pap.NewWindowed(vp.PAP, n) }
+func newCAP(vp VPConfig, n int) predictor.AddressPredictor  { return cap.NewWindowed(vp.CAP, n) }
+func newVTAGE(vp VPConfig, n int) predictor.ValuePredictor  { return vtage.NewWindowed(vp.VTAGE, n) }
+func newDVTAGE(vp VPConfig, n int) predictor.ValuePredictor { return dvtage.NewWindowed(vp.DVTAGE, n) }
+func newChooser(vp VPConfig) predictor.Chooser              { return tournament.New(vp.Chooser) }
+
+// row returns s's scheme-table row; an unknown scheme reads as the baseline.
+func (s VPScheme) row() schemeRow {
+	if int(s) < len(schemes) {
+		return schemes[s]
 	}
+	return schemes[VPNone]
+}
+
+func (s VPScheme) String() string { return s.row().name }
+
+// Components is the prediction machinery a scheme attaches to the core.
+type Components struct {
+	Name    string                     // the scheme's wire name
+	Address predictor.AddressPredictor // nil: no address prediction
+	Value   predictor.ValuePredictor   // nil: no value prediction
+	Chooser predictor.Chooser          // nil: at most one component predicts
+}
+
+// Components builds the components of the configured scheme for a core
+// with slots instruction-window slots (each component keeps its training
+// context per slot).
+func (vp VPConfig) Components(slots int) Components {
+	row := vp.Scheme.row()
+	c := Components{Name: row.name}
+	if row.address != nil {
+		c.Address = row.address(vp, slots)
+	}
+	if row.value != nil {
+		c.Value = row.value(vp, slots)
+	}
+	if row.chooser != nil {
+		c.Chooser = row.chooser(vp)
+	}
+	return c
 }
 
 // VPConfig bundles the scheme choice with per-predictor parameters and the
@@ -191,26 +238,20 @@ func DVTAGE() Core { return Baseline().WithScheme(VPDVTAGE) }
 // SchemeNames lists the named scheme presets accepted by ByScheme, in
 // presentation order.
 func SchemeNames() []string {
-	return []string{"baseline", "dlvp", "cap", "vtage", "tournament", "dvtage"}
+	names := make([]string, len(schemes))
+	for i, r := range schemes {
+		names[i] = r.name
+	}
+	return names
 }
 
 // ByScheme resolves a scheme name (as printed by VPScheme.String) to its
 // Table 4 preset. The CLIs and the HTTP daemon share this mapping.
 func ByScheme(name string) (Core, bool) {
-	switch name {
-	case "baseline":
-		return Baseline(), true
-	case "dlvp":
-		return DLVP(), true
-	case "cap":
-		return CAPDLVP(), true
-	case "vtage":
-		return VTAGE(), true
-	case "tournament":
-		return Tournament(), true
-	case "dvtage":
-		return DVTAGE(), true
-	default:
-		return Core{}, false
+	for i, r := range schemes {
+		if r.name == name {
+			return Baseline().WithScheme(VPScheme(i)), true
+		}
 	}
+	return Core{}, false
 }

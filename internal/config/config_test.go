@@ -40,6 +40,7 @@ func TestSchemePresets(t *testing.T) {
 		VPCAP:        CAPDLVP(),
 		VPVTAGE:      VTAGE(),
 		VPTournament: Tournament(),
+		VPDVTAGE:     DVTAGE(),
 	}
 	for want, c := range cases {
 		if c.VP.Scheme != want {
@@ -55,12 +56,62 @@ func TestSchemePresets(t *testing.T) {
 func TestSchemeStrings(t *testing.T) {
 	names := map[VPScheme]string{
 		VPNone: "baseline", VPDLVP: "dlvp", VPCAP: "cap",
-		VPVTAGE: "vtage", VPTournament: "tournament",
+		VPVTAGE: "vtage", VPTournament: "tournament", VPDVTAGE: "dvtage",
 	}
 	for s, want := range names {
 		if s.String() != want {
 			t.Errorf("%d.String() = %q, want %q", s, s.String(), want)
 		}
+	}
+	if got := VPScheme(200).String(); got != "baseline" {
+		t.Errorf("unknown scheme String() = %q, want baseline", got)
+	}
+	// Every listed name resolves through ByScheme to a preset that prints
+	// the same name back.
+	for _, name := range SchemeNames() {
+		c, ok := ByScheme(name)
+		if !ok {
+			t.Errorf("ByScheme(%q) not found", name)
+			continue
+		}
+		if got := c.VP.Scheme.String(); got != name {
+			t.Errorf("ByScheme(%q).VP.Scheme.String() = %q", name, got)
+		}
+	}
+	if len(SchemeNames()) != len(names) {
+		t.Errorf("SchemeNames() = %v, want %d names", SchemeNames(), len(names))
+	}
+	if _, ok := ByScheme("warp"); ok {
+		t.Error("ByScheme accepted an unknown name")
+	}
+}
+
+func TestSchemeComponents(t *testing.T) {
+	cases := []struct {
+		scheme                  VPScheme
+		address, value, chooser bool
+	}{
+		{VPNone, false, false, false},
+		{VPDLVP, true, false, false},
+		{VPCAP, true, false, false},
+		{VPVTAGE, false, true, false},
+		{VPTournament, true, true, true},
+		{VPDVTAGE, false, true, false},
+	}
+	for _, tc := range cases {
+		c := Baseline().WithScheme(tc.scheme).VP.Components(8)
+		if c.Name != tc.scheme.String() {
+			t.Errorf("%v: component name %q", tc.scheme, c.Name)
+		}
+		if (c.Address != nil) != tc.address || (c.Value != nil) != tc.value || (c.Chooser != nil) != tc.chooser {
+			t.Errorf("%v: components address=%v value=%v chooser=%v, want %v/%v/%v", tc.scheme,
+				c.Address != nil, c.Value != nil, c.Chooser != nil, tc.address, tc.value, tc.chooser)
+		}
+	}
+	// The energy meter names the tables; tournament meters the APT first.
+	c := Tournament().VP.Components(8)
+	if c.Address.Name() != "APT" || c.Value.Name() != "VTAGE" {
+		t.Errorf("tournament tables = %s, %s", c.Address.Name(), c.Value.Name())
 	}
 }
 

@@ -3,17 +3,16 @@ package experiments
 import (
 	"fmt"
 
+	"dlvp/internal/config"
 	"dlvp/internal/predictor"
-	"dlvp/internal/predictor/cap"
-	"dlvp/internal/predictor/pap"
 	"dlvp/internal/tabletext"
 	"dlvp/internal/trace"
 )
 
-// standalonePAP drives PAP over a workload's committed load stream in
-// program order (predict, then train immediately), the standalone protocol
-// behind Figure 4.
-func standalonePAP(p Params, cfg pap.Config) (predictor.Stats, error) {
+// standaloneAddress drives the address predictor of scheme configuration
+// vp over a workload's committed load stream in program order (predict,
+// then train immediately), the standalone protocol behind Figure 4.
+func standaloneAddress(p Params, vp config.VPConfig) (predictor.Stats, error) {
 	var agg predictor.Stats
 	pool, err := p.pool()
 	if err != nil {
@@ -23,45 +22,18 @@ func standalonePAP(p Params, cfg pap.Config) (predictor.Stats, error) {
 		if err := p.ctx().Err(); err != nil {
 			return agg, err
 		}
-		pred := pap.New(cfg)
+		pred := vp.Components(1).Address
 		r := w.Reader(p.Instrs)
 		var rec trace.Rec
 		for r.Next(&rec) {
 			if !rec.IsLoad() {
 				continue
 			}
-			lk := pred.Lookup(rec.PC)
+			lk := pred.PredictSlot(0, rec.PC, pred.HistorySnapshot())
 			correct := lk.Confident && lk.Addr == rec.Addr
 			agg.Record(lk.Confident, correct)
-			pred.Train(lk, rec.Addr, 3, -1)
+			pred.TrainSlot(0, rec.PC, rec.Addr, 3, -1)
 			pred.PushLoad(rec.PC)
-		}
-	}
-	return agg, nil
-}
-
-// standaloneCAP mirrors standalonePAP for the CAP baseline.
-func standaloneCAP(p Params, cfg cap.Config) (predictor.Stats, error) {
-	var agg predictor.Stats
-	pool, err := p.pool()
-	if err != nil {
-		return agg, err
-	}
-	for _, w := range pool {
-		if err := p.ctx().Err(); err != nil {
-			return agg, err
-		}
-		pred := cap.New(cfg)
-		r := w.Reader(p.Instrs)
-		var rec trace.Rec
-		for r.Next(&rec) {
-			if !rec.IsLoad() {
-				continue
-			}
-			lk := pred.Lookup(rec.PC)
-			correct := lk.Confident && lk.Addr == rec.Addr
-			agg.Record(lk.Confident, correct)
-			pred.Train(lk, rec.PC, rec.Addr)
 		}
 	}
 	return agg, nil
@@ -75,16 +47,16 @@ func Fig4(p Params) ([]*tabletext.Table, error) {
 		Title:  "Figure 4: standalone address prediction (all workloads aggregated)",
 		Header: []string{"predictor", "confidence", "coverage %", "accuracy %"},
 	}
-	papStats, err := standalonePAP(p, pap.DefaultConfig())
+	papStats, err := standaloneAddress(p, config.DLVP().VP)
 	if err != nil {
 		return nil, err
 	}
 	t.AddRow("PAP", 8, papStats.Coverage(), papStats.Accuracy())
 	var cap8 predictor.Stats
 	for _, conf := range []int{3, 8, 16, 24, 32, 64} {
-		cfg := cap.DefaultConfig()
-		cfg.Confidence = conf
-		s, err := standaloneCAP(p, cfg)
+		vp := config.CAPDLVP().VP
+		vp.CAP.Confidence = conf
+		s, err := standaloneAddress(p, vp)
 		if err != nil {
 			return nil, err
 		}

@@ -5,8 +5,6 @@ import (
 
 	"dlvp/internal/config"
 	"dlvp/internal/metrics"
-	"dlvp/internal/predictor/cap"
-	"dlvp/internal/predictor/pap"
 	"dlvp/internal/tabletext"
 	"dlvp/internal/trace"
 )
@@ -60,13 +58,13 @@ func Summary(p Params) ([]*tabletext.Table, error) {
 	t.AddRow("loads with values repeating >=64x (fig 2)", "80%", fmt.Sprintf("%.1f%%", m.ValueCumPct[6]))
 
 	// Figure 4 standalone points.
-	papStats, err := standalonePAP(p, pap.DefaultConfig())
+	papStats, err := standaloneAddress(p, config.DLVP().VP)
 	if err != nil {
 		return nil, err
 	}
-	cap8cfg := cap.DefaultConfig()
-	cap8cfg.Confidence = 8
-	cap8, err := standaloneCAP(p, cap8cfg)
+	cap8vp := config.CAPDLVP().VP
+	cap8vp.CAP.Confidence = 8
+	cap8, err := standaloneAddress(p, cap8vp)
 	if err != nil {
 		return nil, err
 	}

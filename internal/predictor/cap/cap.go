@@ -86,6 +86,8 @@ type Predictor struct {
 	Lookups uint64
 	LBHits  uint64
 	Links   uint64
+
+	slotLk []Lookup // per-window-slot lookups (NewWindowed)
 }
 
 // New returns a CAP predictor.
@@ -104,6 +106,14 @@ func New(cfg Config) *Predictor {
 		link: make([]linkEntry, cfg.LinkEntries),
 		fpc:  predictor.NewFPC(rng, ConfidenceVector(cfg.Confidence)...),
 	}
+}
+
+// NewWindowed returns a predictor that also keeps the lookups of slots
+// in-flight loads, keyed by window slot, for predictor.AddressPredictor.
+func NewWindowed(cfg Config, slots int) *Predictor {
+	p := New(cfg)
+	p.slotLk = make([]Lookup, slots)
+	return p
 }
 
 // Config returns the active configuration.
@@ -209,3 +219,29 @@ func (p *Predictor) StorageBits() int {
 	return p.cfg.LoadBufferEntries*p.LoadBufferEntryBits() +
 		p.cfg.LinkEntries*p.LinkEntryBits()
 }
+
+// PredictSlot looks up the load at pc, keeping the lookup for slot. CAP's
+// context is per static load, so the load-path history hist is unused; a
+// lookup hits when both tables hit.
+func (p *Predictor) PredictSlot(slot int, pc, _ uint64) predictor.AddrLookup {
+	lk := p.Lookup(pc)
+	p.slotLk[slot] = lk
+	return predictor.AddrLookup{Addr: lk.Addr, Way: -1, Hit: lk.LinkHit, Confident: lk.Confident}
+}
+
+// TrainSlot trains slot's lookup; CAP reports no tag aliases.
+func (p *Predictor) TrainSlot(slot int, pc, addr uint64, _ uint8, _ int8) bool {
+	p.Train(p.slotLk[slot], pc, addr)
+	return false
+}
+
+// Name (the energy-meter structure name) and LookupCount serve
+// predictor.AddressPredictor. CAP keeps no load-path history and has no
+// APT: PushLoad, HistorySnapshot and RestoreHistory do nothing, and
+// APTCounters is zero.
+func (p *Predictor) Name() string                    { return "CAP" }
+func (p *Predictor) LookupCount() uint64             { return p.Lookups }
+func (p *Predictor) PushLoad(uint64)                 {}
+func (p *Predictor) HistorySnapshot() uint64         { return 0 }
+func (p *Predictor) RestoreHistory(uint64)           {}
+func (p *Predictor) APTCounters() predictor.APTStats { return predictor.APTStats{} }

@@ -64,6 +64,8 @@ type Predictor struct {
 
 	Lookups uint64
 	Hits    uint64
+
+	slotLk predictor.SlotContexts[Lookup] // per-window-slot lookups (NewWindowed)
 }
 
 // New returns a D-VTAGE predictor.
@@ -84,6 +86,15 @@ func New(cfg Config) *Predictor {
 	for range cfg.Histories {
 		p.tables = append(p.tables, make([]deltaEntry, cfg.TableEntries))
 	}
+	return p
+}
+
+// NewWindowed returns a predictor that also keeps the per-destination
+// lookups of slots in-flight instructions for predictor.ValuePredictor,
+// with room for two destinations per slot until a wider one arrives.
+func NewWindowed(cfg Config, slots int) *Predictor {
+	p := New(cfg)
+	p.slotLk = predictor.NewSlotContexts[Lookup](slots, 2)
 	return p
 }
 
@@ -152,18 +163,9 @@ func (p *Predictor) PredictWith(pc uint64, destIdx int, hist uint64) Lookup {
 	return lk
 }
 
-// Eligible mirrors the VTAGE targeting rules.
+// Eligible applies the value-prediction targeting rules (no opcode filter).
 func (p *Predictor) Eligible(op isa.Op, nDests int) bool {
-	if nDests == 0 || op.IsOrdered() || op.IsStore() {
-		return false
-	}
-	if p.cfg.LoadsOnly && !op.IsLoad() {
-		return false
-	}
-	if op.IsBranch() && op != isa.BL {
-		return false
-	}
-	return true
+	return predictor.Targetable(op, nDests, p.cfg.LoadsOnly)
 }
 
 // Train updates the LVT and the delta tables after execution.
@@ -218,4 +220,24 @@ func (p *Predictor) StorageBits() int {
 	tab := len(p.tables) * p.cfg.TableEntries *
 		(int(p.cfg.TagBits) + int(p.cfg.DeltaBits) + 3)
 	return lvt + tab
+}
+
+// Name (the energy-meter structure name), LookupCount (per-destination
+// lookups) and LoadsOnly serve predictor.ValuePredictor.
+func (p *Predictor) Name() string        { return "DVTAGE" }
+func (p *Predictor) LookupCount() uint64 { return p.Lookups }
+func (p *Predictor) LoadsOnly() bool     { return p.cfg.LoadsOnly }
+
+// PredictSlot predicts destination dest of the instruction at pc under
+// history hist, keeping the lookup for slot.
+func (p *Predictor) PredictSlot(slot, dest int, pc, hist uint64) (uint64, bool) {
+	lk := p.PredictWith(pc, dest, hist)
+	*p.slotLk.At(slot, dest) = lk
+	return lk.Value, lk.Confident
+}
+
+// TrainSlot trains slot's lookup for dest with the executed value (op is
+// unused).
+func (p *Predictor) TrainSlot(slot, dest int, _ isa.Op, actual uint64) {
+	p.Train(*p.slotLk.At(slot, dest), actual)
 }

@@ -63,18 +63,9 @@ type Predictor struct {
 	hist  *predictor.LoadPathHistory
 
 	// Stats observable by experiments and the timeline sampler.
-	Lookups     uint64
-	Hits        uint64
-	Allocations uint64
-	ConfResets  uint64
-	// TagAliases counts trainings that found their entry reallocated
-	// between lookup and train — two static loads aliasing one APT slot.
-	TagAliases uint64
-	// ConfBumps counts successful FPC forward transitions;
-	// ConfSaturations counts entries newly reaching full confidence (the
-	// warm-up signal: a burst of saturations marks the APT going hot).
-	ConfBumps       uint64
-	ConfSaturations uint64
+	predictor.APTStats
+
+	slotLk []Lookup // per-window-slot lookups (NewWindowed)
 }
 
 // New returns a PAP predictor with the given configuration.
@@ -95,6 +86,14 @@ func New(cfg Config) *Predictor {
 	for i := range p.table {
 		p.table[i].way = -1
 	}
+	return p
+}
+
+// NewWindowed returns a predictor that also keeps the lookups of slots
+// in-flight loads, keyed by window slot, for predictor.AddressPredictor.
+func NewWindowed(cfg Config, slots int) *Predictor {
+	p := New(cfg)
+	p.slotLk = make([]Lookup, slots)
 	return p
 }
 
@@ -277,9 +276,6 @@ func (p *Predictor) HistorySnapshot() uint64 { return p.hist.Snapshot() }
 // RestoreHistory rewinds the history register after a squash.
 func (p *Predictor) RestoreHistory(snap uint64) { p.hist.Restore(snap) }
 
-// History exposes the current history value (tests, diagnostics).
-func (p *Predictor) History() uint64 { return p.hist.Value() }
-
 // EntryBits returns the storage cost of one APT entry in bits (Table 1):
 // tag + address + 2-bit confidence + 2-bit size + optional way.
 func (p *Predictor) EntryBits() int {
@@ -294,54 +290,21 @@ func (p *Predictor) EntryBits() int {
 // "1k x (50 or 67)" arithmetic, plus the optional way field).
 func (p *Predictor) StorageBits() int { return p.cfg.Entries * p.EntryBits() }
 
-// LSCD is the Load-Store Conflict Detector: a tiny fully associative filter
-// of load PCs that were address-predicted correctly but value-mispredicted —
-// the signature of a conflict with an older in-flight store. Filtered loads
-// are neither predicted nor trained, so their APT entries age out naturally.
-type LSCD struct {
-	pcs  []uint64
-	next int
-	size int
+// Name (the energy-meter structure name), LookupCount and APTCounters
+// serve predictor.AddressPredictor.
+func (p *Predictor) Name() string                    { return "APT" }
+func (p *Predictor) LookupCount() uint64             { return p.Lookups }
+func (p *Predictor) APTCounters() predictor.APTStats { return p.APTStats }
 
-	Inserts  uint64
-	Filtered uint64
+// PredictSlot looks up the load at pc under history hist, keeping the
+// lookup for slot.
+func (p *Predictor) PredictSlot(slot int, pc, hist uint64) predictor.AddrLookup {
+	lk := p.LookupWith(pc, hist)
+	p.slotLk[slot] = lk
+	return predictor.AddrLookup{Addr: lk.Addr, Way: lk.Way, Hit: lk.Hit, Confident: lk.Confident}
 }
 
-// NewLSCD returns a filter with n entries (the paper uses 4).
-func NewLSCD(n int) *LSCD {
-	if n <= 0 {
-		n = 4
-	}
-	return &LSCD{pcs: make([]uint64, 0, n), size: n}
+// TrainSlot trains slot's lookup and reports a lookup-to-train tag alias.
+func (p *Predictor) TrainSlot(slot int, _, addr uint64, sizeLog2 uint8, way int8) bool {
+	return p.Train(p.slotLk[slot], addr, sizeLog2, way).Alias()
 }
-
-// Insert records a conflicting load PC (FIFO replacement).
-func (l *LSCD) Insert(pc uint64) {
-	l.Inserts++
-	for _, p := range l.pcs {
-		if p == pc {
-			return
-		}
-	}
-	if len(l.pcs) < l.size {
-		l.pcs = append(l.pcs, pc)
-		return
-	}
-	l.pcs[l.next] = pc
-	l.next = (l.next + 1) % l.size
-}
-
-// Contains reports whether pc is blacklisted; a true result counts as a
-// filtered prediction opportunity.
-func (l *LSCD) Contains(pc uint64) bool {
-	for _, p := range l.pcs {
-		if p == pc {
-			l.Filtered++
-			return true
-		}
-	}
-	return false
-}
-
-// Len returns the current occupancy.
-func (l *LSCD) Len() int { return len(l.pcs) }

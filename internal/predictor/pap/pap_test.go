@@ -212,7 +212,7 @@ func TestHistorySnapshotRoundTrip(t *testing.T) {
 	p.PushLoad(0x404)
 	p.PushLoad(0x404)
 	p.RestoreHistory(s)
-	if p.History() != s {
+	if p.HistorySnapshot() != s {
 		t.Error("restore must rewind history")
 	}
 }
@@ -280,45 +280,5 @@ func TestLookupInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestLSCD(t *testing.T) {
-	l := NewLSCD(4)
-	if l.Contains(0x100) {
-		t.Error("empty LSCD must not contain anything")
-	}
-	l.Insert(0x100)
-	l.Insert(0x200)
-	if !l.Contains(0x100) || !l.Contains(0x200) {
-		t.Error("inserted PCs must be found")
-	}
-	// Duplicate insert must not consume capacity.
-	l.Insert(0x100)
-	l.Insert(0x300)
-	l.Insert(0x400)
-	if l.Len() != 4 {
-		t.Errorf("len = %d, want 4", l.Len())
-	}
-	// FIFO replacement: the fifth distinct PC evicts the oldest (0x100).
-	l.Insert(0x500)
-	if l.Contains(0x100) {
-		t.Error("oldest entry must be evicted")
-	}
-	if !l.Contains(0x500) || !l.Contains(0x200) {
-		t.Error("newer entries must survive")
-	}
-	if l.Filtered == 0 || l.Inserts == 0 {
-		t.Error("stats not counted")
-	}
-}
-
-func TestLSCDDefaultSize(t *testing.T) {
-	l := NewLSCD(0)
-	for pc := uint64(1); pc <= 8; pc++ {
-		l.Insert(pc * 16)
-	}
-	if l.Len() != 4 {
-		t.Errorf("default size = %d, want 4 (the paper's LSCD)", l.Len())
 	}
 }

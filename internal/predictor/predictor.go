@@ -2,8 +2,9 @@
 // schemes in this repository: forward probabilistic confidence counters
 // (FPC, Riley & Zilles), deterministic pseudo-random sources, history
 // registers (load-path history for PAP, global branch history for VTAGE),
-// index/tag folding helpers, and the coverage/accuracy bookkeeping the
-// paper reports.
+// index/tag folding helpers, the coverage/accuracy bookkeeping the paper
+// reports, the LSCD, and the component interfaces (AddressPredictor,
+// ValuePredictor, Chooser) through which the core drives every scheme.
 package predictor
 
 import "fmt"

@@ -250,3 +250,65 @@ func TestStats(t *testing.T) {
 		t.Errorf("Add result = %+v", z)
 	}
 }
+
+func TestLSCD(t *testing.T) {
+	l := NewLSCD(4)
+	if l.Contains(0x100) {
+		t.Error("empty LSCD must not contain anything")
+	}
+	l.Insert(0x100)
+	l.Insert(0x200)
+	if !l.Contains(0x100) || !l.Contains(0x200) {
+		t.Error("inserted PCs must be found")
+	}
+	// Duplicate insert must not consume capacity.
+	l.Insert(0x100)
+	l.Insert(0x300)
+	l.Insert(0x400)
+	if l.Len() != 4 {
+		t.Errorf("len = %d, want 4", l.Len())
+	}
+	// FIFO replacement: the fifth distinct PC evicts the oldest (0x100).
+	l.Insert(0x500)
+	if l.Contains(0x100) {
+		t.Error("oldest entry must be evicted")
+	}
+	if !l.Contains(0x500) || !l.Contains(0x200) {
+		t.Error("newer entries must survive")
+	}
+	if l.Filtered == 0 || l.Inserts == 0 {
+		t.Error("stats not counted")
+	}
+}
+
+func TestLSCDDefaultSize(t *testing.T) {
+	l := NewLSCD(0)
+	for pc := uint64(1); pc <= 8; pc++ {
+		l.Insert(pc * 16)
+	}
+	if l.Len() != 4 {
+		t.Errorf("default size = %d, want 4 (the paper's LSCD)", l.Len())
+	}
+}
+
+func TestSideString(t *testing.T) {
+	if SideAddress.String() != "address" || SideValue.String() != "value" || SideNone.String() != "none" {
+		t.Error("Side strings wrong")
+	}
+}
+
+func TestSlotContextsWidenKeepsContexts(t *testing.T) {
+	s := NewSlotContexts[uint64](4, 1)
+	for slot := 0; slot < 4; slot++ {
+		*s.At(slot, 0) = uint64(slot + 1)
+	}
+	*s.At(2, 3) = 99 // widens the stride past its initial 1
+	for slot := 0; slot < 4; slot++ {
+		if got := *s.At(slot, 0); got != uint64(slot+1) {
+			t.Errorf("slot %d dest 0 = %d after widening, want %d", slot, got, slot+1)
+		}
+	}
+	if got := *s.At(2, 3); got != 99 {
+		t.Errorf("slot 2 dest 3 = %d, want 99", got)
+	}
+}

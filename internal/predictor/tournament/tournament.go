@@ -1,31 +1,11 @@
 // Package tournament implements the chooser from the paper's Section 5.2.3
 // "Combining VTAGE and DLVP": both predictors run concurrently and a
 // PC-indexed table of 2-bit counters picks which one supplies the final
-// prediction for each static load.
+// prediction for each static load. DLVP is the chooser's address side
+// (predictor.SideAddress), VTAGE its value side (predictor.SideValue).
 package tournament
 
 import "dlvp/internal/predictor"
-
-// Side identifies which component predictor won the choice.
-type Side uint8
-
-// Chooser outcomes.
-const (
-	SideNone  Side = iota // neither predictor was confident
-	SideDLVP              // DLVP supplied the prediction
-	SideVTAGE             // VTAGE supplied the prediction
-)
-
-func (s Side) String() string {
-	switch s {
-	case SideDLVP:
-		return "dlvp"
-	case SideVTAGE:
-		return "vtage"
-	default:
-		return "none"
-	}
-}
 
 // Config parameterises the chooser table.
 type Config struct {
@@ -68,23 +48,23 @@ func (c *Chooser) index(pc uint64) uint32 {
 // Choose picks the provider given each component's confidence for the load
 // at pc. When only one component is confident it wins outright; when both
 // are, the counter decides.
-func (c *Chooser) Choose(pc uint64, dlvpReady, vtageReady bool) Side {
+func (c *Chooser) Choose(pc uint64, dlvpReady, vtageReady bool) predictor.Side {
 	switch {
 	case !dlvpReady && !vtageReady:
-		return SideNone
+		return predictor.SideNone
 	case dlvpReady && !vtageReady:
 		c.ChoseDLVP++
-		return SideDLVP
+		return predictor.SideAddress
 	case !dlvpReady && vtageReady:
 		c.ChoseVTAGE++
-		return SideVTAGE
+		return predictor.SideValue
 	}
 	if c.counter[c.index(pc)] >= 2 {
 		c.ChoseVTAGE++
-		return SideVTAGE
+		return predictor.SideValue
 	}
 	c.ChoseDLVP++
-	return SideDLVP
+	return predictor.SideAddress
 }
 
 // Train updates the counter from the components' actual outcomes; it only

@@ -1,16 +1,20 @@
 package tournament
 
-import "testing"
+import (
+	"testing"
+
+	"dlvp/internal/predictor"
+)
 
 func TestSingleConfidentSideWins(t *testing.T) {
 	c := New(DefaultConfig())
-	if got := c.Choose(0x400100, true, false); got != SideDLVP {
+	if got := c.Choose(0x400100, true, false); got != predictor.SideAddress {
 		t.Errorf("only DLVP ready: %v", got)
 	}
-	if got := c.Choose(0x400100, false, true); got != SideVTAGE {
+	if got := c.Choose(0x400100, false, true); got != predictor.SideValue {
 		t.Errorf("only VTAGE ready: %v", got)
 	}
-	if got := c.Choose(0x400100, false, false); got != SideNone {
+	if got := c.Choose(0x400100, false, false); got != predictor.SideNone {
 		t.Errorf("neither ready: %v", got)
 	}
 }
@@ -22,14 +26,14 @@ func TestChooserLearnsBetterSide(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.Train(pc, false, true)
 	}
-	if got := c.Choose(pc, true, true); got != SideVTAGE {
+	if got := c.Choose(pc, true, true); got != predictor.SideValue {
 		t.Errorf("after VTAGE streak: %v, want vtage", got)
 	}
 	// Reverse.
 	for i := 0; i < 10; i++ {
 		c.Train(pc, true, false)
 	}
-	if got := c.Choose(pc, true, true); got != SideDLVP {
+	if got := c.Choose(pc, true, true); got != predictor.SideAddress {
 		t.Errorf("after DLVP streak: %v, want dlvp", got)
 	}
 }
@@ -54,12 +58,6 @@ func TestBreakdownCounters(t *testing.T) {
 	c.Choose(0x1000, true, true)
 	if c.ChoseDLVP+c.ChoseVTAGE != 3 {
 		t.Errorf("breakdown counters = %d + %d, want 3 total", c.ChoseDLVP, c.ChoseVTAGE)
-	}
-}
-
-func TestSideString(t *testing.T) {
-	if SideDLVP.String() != "dlvp" || SideVTAGE.String() != "vtage" || SideNone.String() != "none" {
-		t.Error("Side strings wrong")
 	}
 }
 

@@ -108,13 +108,8 @@ type Predictor struct {
 	Lookups     uint64
 	Hits        uint64
 	Allocations uint64
-	FilteredOps uint64
 
-	// Training outcome diagnostics.
-	TrainMiss     uint64 // provider < 0 at training
-	TrainStale    uint64 // provider entry reallocated between predict and train
-	TrainMatch    uint64
-	TrainMismatch uint64
+	slotLk predictor.SlotContexts[Lookup] // per-window-slot lookups (NewWindowed)
 }
 
 // New returns a VTAGE predictor.
@@ -156,32 +151,22 @@ func New(cfg Config) *Predictor {
 	return p
 }
 
+// NewWindowed returns a predictor that also keeps the per-destination
+// lookups of slots in-flight instructions for predictor.ValuePredictor,
+// with room for two destinations per slot until a wider one arrives.
+func NewWindowed(cfg Config, slots int) *Predictor {
+	p := New(cfg)
+	p.slotLk = predictor.NewSlotContexts[Lookup](slots, 2)
+	return p
+}
+
 // Config returns the active configuration.
 func (p *Predictor) Config() Config { return p.cfg }
 
 // Eligible reports whether VTAGE would try to predict this opcode with
 // nDests destination registers under the configured mode and filter.
 func (p *Predictor) Eligible(op isa.Op, nDests int) bool {
-	if nDests == 0 {
-		return false
-	}
-	if op.IsOrdered() {
-		return false // memory-ordering instructions are never predicted
-	}
-	if p.cfg.LoadsOnly && !op.IsLoad() {
-		return false
-	}
-	if op.IsStore() {
-		return false
-	}
-	if op.IsBranch() && op != isa.BL {
-		return false
-	}
-	if p.filtBlocked[op] {
-		p.FilteredOps++
-		return false
-	}
-	return true
+	return predictor.Targetable(op, nDests, p.cfg.LoadsOnly) && !p.filtBlocked[op]
 }
 
 // Lookup is the probe result for one destination register of one
@@ -267,7 +252,6 @@ func (p *Predictor) Train(lk Lookup, op isa.Op, actual uint64) {
 
 	if lk.Provider < 0 {
 		// Complete miss: allocate in the base table.
-		p.TrainMiss++
 		p.allocate(0, lk, actual)
 		return
 	}
@@ -275,16 +259,13 @@ func (p *Predictor) Train(lk Lookup, op isa.Op, actual uint64) {
 	e := &p.tables[t][lk.Index[t]]
 	if !e.valid || e.tag != lk.Tag[t] {
 		// Reallocated under us between predict and train; treat as miss.
-		p.TrainStale++
 		p.allocate(0, lk, actual)
 		return
 	}
 	if e.value == actual {
-		p.TrainMatch++
 		e.conf = p.fpc.Bump(e.conf)
 		return
 	}
-	p.TrainMismatch++
 	// Mispredicted (or not-yet-confident mismatch): replace the value only
 	// when confidence has drained, then try to allocate a longer-history
 	// entry so a richer context can capture the pattern.
@@ -335,4 +316,23 @@ func (p *Predictor) EntryBits() int { return int(p.cfg.TagBits) + 64 + 3 }
 // StorageBits returns the total budget in bits (paper: 3 × 256 × 83 = 62.3k).
 func (p *Predictor) StorageBits() int {
 	return len(p.tables) * p.cfg.TableEntries * p.EntryBits()
+}
+
+// Name (the energy-meter structure name), LookupCount (per-destination
+// lookups) and LoadsOnly serve predictor.ValuePredictor.
+func (p *Predictor) Name() string        { return "VTAGE" }
+func (p *Predictor) LookupCount() uint64 { return p.Lookups }
+func (p *Predictor) LoadsOnly() bool     { return p.cfg.LoadsOnly }
+
+// PredictSlot predicts destination dest of the instruction at pc under
+// history hist, keeping the lookup for slot.
+func (p *Predictor) PredictSlot(slot, dest int, pc, hist uint64) (uint64, bool) {
+	lk := p.PredictWith(pc, dest, hist)
+	*p.slotLk.At(slot, dest) = lk
+	return lk.Value, lk.Confident
+}
+
+// TrainSlot trains slot's lookup for dest with the executed value.
+func (p *Predictor) TrainSlot(slot, dest int, op isa.Op, actual uint64) {
+	p.Train(*p.slotLk.At(slot, dest), op, actual)
 }

@@ -1,9 +1,8 @@
 package uarch
 
 import (
-	"dlvp/internal/config"
 	"dlvp/internal/isa"
-	"dlvp/internal/predictor/tournament"
+	"dlvp/internal/predictor"
 	"dlvp/internal/trace"
 )
 
@@ -95,16 +94,7 @@ func (c *Core) accountPrediction(seq uint64) {
 	f := c.a.w.flags[seq&windowMask]
 	cd := c.cold(seq)
 	predicted := f&(fVpMade|fVpOracleDropped) != 0
-	correct := false
-	if f&fVpMade != 0 {
-		correct = true
-		for j := 0; j < int(rec.NDst); j++ {
-			if cd.vpPerDest[j] && cd.vpVals[j] != rec.DestValue(j) {
-				correct = false
-				break
-			}
-		}
-	}
+	correct := f&fVpMade != 0 && vpCorrect(cd, rec)
 	c.stats.VP.Record(predicted, correct)
 	// Site attribution rides the same outcome so per-site sums reconcile
 	// with the aggregate exactly. One nil check when profiling is off.
@@ -113,22 +103,31 @@ func (c *Core) accountPrediction(seq uint64) {
 	}
 	if f&fVpMade != 0 {
 		switch cd.vpSource {
-		case tournament.SideDLVP:
+		case predictor.SideAddress:
 			c.stats.TournamentDLVP++
-		case tournament.SideVTAGE:
+		case predictor.SideValue:
 			c.stats.TournamentVTAGE++
 		}
 	}
 }
 
-// eligibleForStats defines the coverage denominator: dynamic loads for the
-// address-prediction schemes and loads-only VTAGE; every value-producing
-// instruction for all-instructions VTAGE.
+// vpCorrect reports whether every destination value installed in the PVT
+// for rec matches the executed one.
+func vpCorrect(cd *coldState, rec *trace.Rec) bool {
+	for j := 0; j < int(rec.NDst); j++ {
+		if cd.vpPerDest[j] && cd.vpVals[j] != rec.DestValue(j) {
+			return false
+		}
+	}
+	return true
+}
+
+// eligibleForStats defines the coverage denominator: dynamic loads, except
+// under a lone all-instructions value predictor, where every
+// value-producing instruction counts.
 func (c *Core) eligibleForStats(op isa.Op, nDests int) bool {
-	if (c.cfg.VP.Scheme == config.VPVTAGE && !c.cfg.VP.VTAGE.LoadsOnly) ||
-		(c.cfg.VP.Scheme == config.VPDVTAGE && !c.cfg.VP.DVTAGE.LoadsOnly) {
-		return nDests > 0 && !op.IsStore() && !op.IsOrdered() &&
-			(!op.IsBranch() || op == isa.BL)
+	if c.allInstrStats {
+		return predictor.Targetable(op, nDests, false)
 	}
 	return op.IsLoad()
 }

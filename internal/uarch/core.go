@@ -5,11 +5,16 @@
 // fetch-to-execute pipe — plus the paper's value-prediction machinery:
 //
 //   - the Value Prediction Engine (PVT + predicted bits, Section 3.2.1),
-//   - DLVP: PAP (or CAP) address prediction at fetch, the Predicted Address
-//     Queue, opportunistic L1D probes on load-store lane bubbles, probe-miss
+//   - DLVP: address prediction at fetch, the Predicted Address Queue,
+//     opportunistic L1D probes on load-store lane bubbles, probe-miss
 //     prefetching, the LSCD in-flight-store filter, and way prediction
 //     (Section 3.2.2),
-//   - conventional VTAGE value prediction, and the DLVP+VTAGE tournament.
+//   - conventional value prediction, and a chooser between the two.
+//
+// The core names no prediction scheme. config.VPConfig.Components maps the
+// configured scheme to an address predictor (PAP, CAP), a value predictor
+// (VTAGE, D-VTAGE) and a chooser, each optional, and the pipeline drives
+// them through the interfaces in internal/predictor.
 //
 // Being trace-driven, the model executes no wrong-path instructions;
 // mispredictions are modelled as fetch redirect penalties, which is the
@@ -37,11 +42,6 @@ import (
 	"dlvp/internal/mem"
 	"dlvp/internal/metrics"
 	"dlvp/internal/predictor"
-	"dlvp/internal/predictor/cap"
-	"dlvp/internal/predictor/dvtage"
-	"dlvp/internal/predictor/pap"
-	"dlvp/internal/predictor/tournament"
-	"dlvp/internal/predictor/vtage"
 	"dlvp/internal/program"
 	"dlvp/internal/siteprof"
 	tline "dlvp/internal/timeline"
@@ -86,12 +86,16 @@ type Core struct {
 	ghist   predictor.GlobalHistory
 	mdp     *mdp.Predictor
 
-	papPred *pap.Predictor
-	capPred *cap.Predictor
-	vtPred  *vtage.Predictor
-	dvPred  *dvtage.Predictor
-	chooser *tournament.Chooser
-	lscd    *pap.LSCD
+	// The scheme's prediction components (each nil when absent). The LSCD
+	// exists only beside an address predictor.
+	ap      predictor.AddressPredictor
+	vp      predictor.ValuePredictor
+	chooser predictor.Chooser
+	lscd    *predictor.LSCD
+	// allInstrStats widens the coverage denominator from loads to every
+	// value-producing instruction: a lone value predictor not restricted
+	// to loads.
+	allInstrStats bool
 
 	// a holds the SoA window, the trace ring, and every other bulk
 	// per-run allocation (see window.go).
@@ -261,31 +265,15 @@ func NewAtArena(cfg config.Core, p *program.Program, reader trace.Reader, cmem *
 		a.paqBuf = make([]paqEntry, paqCap)
 	}
 	c.freeRegs = cfg.PhysRegs - 64
-	switch cfg.VP.Scheme {
-	case config.VPDLVP:
-		c.papPred = pap.New(cfg.VP.PAP)
-	case config.VPCAP:
-		c.capPred = cap.New(cfg.VP.CAP)
-	case config.VPVTAGE:
-		c.vtPred = vtage.New(cfg.VP.VTAGE)
-	case config.VPTournament:
-		c.papPred = pap.New(cfg.VP.PAP)
-		c.vtPred = vtage.New(cfg.VP.VTAGE)
-		c.chooser = tournament.New(cfg.VP.Chooser)
-	case config.VPDVTAGE:
-		c.dvPred = dvtage.New(cfg.VP.DVTAGE)
+	comp := cfg.VP.Components(windowCap)
+	c.ap, c.vp, c.chooser = comp.Address, comp.Value, comp.Chooser
+	if c.ap != nil && cfg.VP.LSCDEntries > 0 {
+		c.lscd = predictor.NewLSCD(cfg.VP.LSCDEntries)
 	}
-	if c.usesAddressPrediction() && cfg.VP.LSCDEntries > 0 {
-		c.lscd = pap.NewLSCD(cfg.VP.LSCDEntries)
-	}
-	c.stats.Scheme = cfg.VP.Scheme.String()
+	c.allInstrStats = c.ap == nil && c.vp != nil && !c.vp.LoadsOnly()
+	c.stats.Scheme = comp.Name
 	c.stats.Workload = p.Name
 	return c
-}
-
-func (c *Core) usesAddressPrediction() bool {
-	s := c.cfg.VP.Scheme
-	return s == config.VPDLVP || s == config.VPCAP || s == config.VPTournament
 }
 
 // rec returns the trace record for an in-flight (or just-fetched) seq; the

@@ -6,15 +6,13 @@ import "fmt"
 func (c *Core) Debug() string {
 	s := fmt.Sprintf("head=%d fetch=%d rename=%d paq=%d stall=%d",
 		c.headSeq, c.fetchSeq, c.renameSeq, c.paqLen(), c.fetchStallUntil)
-	if c.papPred != nil {
-		s += fmt.Sprintf(" pap[lookups=%d hits=%d allocs=%d resets=%d hist=%#x]",
-			c.papPred.Lookups, c.papPred.Hits, c.papPred.Allocations,
-			c.papPred.ConfResets, c.papPred.History())
+	for _, t := range c.tables() {
+		if t != nil {
+			s += fmt.Sprintf(" %s[lookups=%d bits=%d]", t.Name(), t.LookupCount(), t.StorageBits())
+		}
 	}
-	if c.vtPred != nil {
-		s += fmt.Sprintf(" vtage[lookups=%d hits=%d allocs=%d filtered=%d miss=%d stale=%d match=%d mismatch=%d]",
-			c.vtPred.Lookups, c.vtPred.Hits, c.vtPred.Allocations, c.vtPred.FilteredOps,
-			c.vtPred.TrainMiss, c.vtPred.TrainStale, c.vtPred.TrainMatch, c.vtPred.TrainMismatch)
+	if c.ap != nil {
+		s += fmt.Sprintf(" lphist=%#x", c.ap.HistorySnapshot())
 	}
 	return s
 }

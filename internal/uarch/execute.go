@@ -49,20 +49,14 @@ func (c *Core) executeStage() {
 
 		rec := c.rec(seq)
 		c.prfWrites += uint64(rec.NDst)
-		switch {
-		case rec.Op.IsBranch():
+		if rec.Op.IsBranch() {
 			if f&fTrained == 0 {
 				c.resolveBranch(seq, rec)
 			}
-		case rec.IsLoad():
+		} else {
 			if f&fTrained == 0 {
-				c.trainAddressPredictors(seq, rec)
-				c.trainVTAGE(seq, rec)
-			}
-			c.validatePrediction(seq, rec)
-		default:
-			if f&fTrained == 0 {
-				c.trainVTAGE(seq, rec)
+				c.trainAddressPredictor(seq, rec) // only loads were looked up
+				c.trainValuePredictor(seq, rec)
 			}
 			c.validatePrediction(seq, rec)
 		}
@@ -110,43 +104,38 @@ func (c *Core) resolveBranch(seq uint64, rec *trace.Rec) {
 	}
 }
 
-// trainAddressPredictors updates PAP/CAP with the executed address. The
-// paper always trains on execution — except for LSCD-blacklisted loads,
-// which neither predict nor update so their entries age out.
-func (c *Core) trainAddressPredictors(seq uint64, rec *trace.Rec) {
+// trainAddressPredictor updates the address predictor with the executed
+// address. The paper always trains on execution — LSCD-blacklisted loads
+// were never looked up, so they neither predict nor update and their
+// entries age out.
+func (c *Core) trainAddressPredictor(seq uint64, rec *trace.Rec) {
 	w := &c.a.w
 	slot := seq & windowMask
-	f := w.flags[slot]
-	if f&fLscdSkip != 0 {
+	if w.flags[slot]&fAddrLk == 0 {
 		return
 	}
-	cd := c.cold(seq)
-	if f&fPapLkValid != 0 {
-		sizeLog2 := uint8(0)
-		for b := int(rec.Bytes); b > 1; b >>= 1 {
-			sizeLog2++
-		}
-		cd.papTrain = c.papPred.Train(cd.papLk, rec.Addr, sizeLog2, cd.l1Way)
-		w.flags[slot] |= fPapTrainValid
+	sizeLog2 := uint8(0)
+	for b := int(rec.Bytes); b > 1; b >>= 1 {
+		sizeLog2++
 	}
-	if f&fCapLkValid != 0 {
-		c.capPred.Train(cd.capLk, rec.PC, rec.Addr)
+	if c.ap.TrainSlot(int(slot), rec.PC, rec.Addr, sizeLog2, c.cold(seq).l1Way) {
+		w.flags[slot] |= fAddrAlias
 	}
 }
 
-// trainVTAGE updates VTAGE (and D-VTAGE) for every destination with the
-// executed values.
-func (c *Core) trainVTAGE(seq uint64, rec *trace.Rec) {
-	cd := c.cold(seq)
-	if c.vtPred != nil {
-		for j := range cd.vtLks {
-			c.vtPred.Train(cd.vtLks[j], rec.Op, rec.DestValue(j))
-		}
+// trainValuePredictor updates the value predictor for every destination
+// it predicted with the executed values.
+func (c *Core) trainValuePredictor(seq uint64, rec *trace.Rec) {
+	slot := seq & windowMask
+	if c.a.w.flags[slot]&fValueLk == 0 {
+		return
 	}
-	if c.dvPred != nil {
-		for j := range cd.dvLks {
-			c.dvPred.Train(cd.dvLks[j], rec.DestValue(j))
-		}
+	nd := int(rec.NDst)
+	if nd > trace.MaxDests {
+		nd = trace.MaxDests
+	}
+	for j := 0; j < nd; j++ {
+		c.vp.TrainSlot(int(slot), j, rec.Op, rec.DestValue(j))
 	}
 }
 
@@ -168,14 +157,7 @@ func (c *Core) validatePrediction(seq uint64, rec *trace.Rec) {
 	cd := c.cold(seq)
 	if w.flags[slot]&fVpMade != 0 {
 		c.pvtCount -= cd.vpNumDests
-		correct := true
-		for j := 0; j < int(rec.NDst); j++ {
-			if cd.vpPerDest[j] && cd.vpVals[j] != rec.DestValue(j) {
-				correct = false
-				break
-			}
-		}
-		if !correct {
+		if !vpCorrect(cd, rec) {
 			if c.cfg.VP.SelectiveReplay {
 				c.replayDependents(seq)
 			} else {
@@ -288,46 +270,38 @@ func (c *Core) maybeTrainLSCD(seq uint64, rec *trace.Rec) {
 		return
 	}
 	f := c.a.w.flags[seq&windowMask]
-	cd := c.cold(seq)
-	var predictedAddr uint64
-	var have bool
-	switch {
-	case f&fPapLkValid != 0 && cd.papLk.Confident:
-		predictedAddr, have = cd.papLk.Addr, true
-	case f&fCapLkValid != 0 && cd.capLk.Confident:
-		predictedAddr, have = cd.capLk.Addr, true
-	}
-	if have && predictedAddr == rec.Addr && f&fProbeHit != 0 {
+	lk := &c.cold(seq).addrLk
+	if f&fAddrLk != 0 && lk.Confident && lk.Addr == rec.Addr && f&fProbeHit != 0 {
 		c.lscd.Insert(rec.PC)
 	}
 }
 
-// trainChooser updates the tournament chooser with both components'
-// outcomes when both produced a confident prediction for this load.
+// trainChooser updates the chooser with both components' outcomes when
+// both produced a confident prediction for this load.
 func (c *Core) trainChooser(seq uint64, rec *trace.Rec) {
 	f := c.a.w.flags[seq&windowMask]
 	cd := c.cold(seq)
-	dlvpPredicted := f&fProbeDone != 0 && f&fProbeHit != 0
-	vtagePredicted := f&fVtAny != 0
-	if !dlvpPredicted || !vtagePredicted {
+	addrPredicted := f&fProbeDone != 0 && f&fProbeHit != 0
+	valuePredicted := f&fValueConf != 0
+	if !addrPredicted || !valuePredicted {
 		return
 	}
 	nd := int(rec.NDst)
-	dlvpCorrect := true
+	addrCorrect := true
 	for j := 0; j < nd; j++ {
 		if cd.probeVals[j] != rec.DestValue(j) {
-			dlvpCorrect = false
+			addrCorrect = false
 			break
 		}
 	}
-	vtageCorrect := true
+	valueCorrect := true
 	for j := 0; j < nd; j++ {
-		if cd.vtValid[j] && cd.vtVals[j] != rec.DestValue(j) {
-			vtageCorrect = false
+		if cd.valConf[j] && cd.valPred[j] != rec.DestValue(j) {
+			valueCorrect = false
 			break
 		}
 	}
-	c.chooser.Train(rec.PC, dlvpCorrect, vtageCorrect)
+	c.chooser.Train(rec.PC, addrCorrect, valueCorrect)
 }
 
 // readLoadValues reconstructs, from the committed-memory image, the value

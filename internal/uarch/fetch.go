@@ -7,19 +7,21 @@ import (
 
 // fetchStage models the in-order front end: one fetch group per cycle (up
 // to FetchWidth instructions, ending at a taken branch), branch prediction
-// with speculative history updates, and — for DLVP — fetch-time address
-// prediction of up to two loads per group keyed by the fetch group address.
+// with speculative history updates, and fetch-time address prediction of up
+// to two loads per group and value prediction.
 func (c *Core) fetchStage() {
 	if c.now < c.fetchStallUntil || c.haltSeen {
 		return
 	}
 	groupStart := true
 	var groupExtra int
+	// Loads in a group predict under the group-start load-path history;
+	// lph tracks the history after each fetched instruction.
 	lphistAtGroup := uint64(0)
-	if c.papPred != nil {
-		lphistAtGroup = c.papPred.HistorySnapshot()
+	if c.ap != nil {
+		lphistAtGroup = c.ap.HistorySnapshot()
 	}
-	fga := uint64(0)
+	lph := lphistAtGroup
 	loadsInGroup := 0
 	w := &c.a.w
 
@@ -32,8 +34,7 @@ func (c *Core) fetchStage() {
 			return // trace exhausted
 		}
 		if groupStart {
-			fga = rec.PC
-			groupExtra = c.hier.Fetch(c.now, fga)
+			groupExtra = c.hier.Fetch(c.now, rec.PC)
 			groupStart = false
 		}
 
@@ -70,18 +71,16 @@ func (c *Core) fetchStage() {
 			if c.mdp.ShouldWait(rec.PC) || rec.Op.IsOrdered() {
 				w.flags[slot] |= fMdpWait
 			}
-			c.fetchAddressPrediction(seq, rec, fga, lphistAtGroup, loadsInGroup)
+			c.fetchAddressPrediction(seq, rec, lphistAtGroup, loadsInGroup)
 			loadsInGroup++
-			if c.papPred != nil {
-				c.papPred.PushLoad(rec.PC)
+			if c.ap != nil {
+				c.ap.PushLoad(rec.PC)
+				lph = c.ap.HistorySnapshot()
 			}
 			c.a.ldqIdx.push(seq)
 		}
-		if c.vtPred != nil {
-			c.fetchVTAGE(seq, rec)
-		}
-		if c.dvPred != nil {
-			c.fetchDVTAGE(seq, rec)
+		if c.vp != nil {
+			c.fetchValuePrediction(seq, rec)
 		}
 		if rec.IsStore() {
 			c.a.pendingStores = append(c.a.pendingStores, seq)
@@ -98,10 +97,6 @@ func (c *Core) fetchStage() {
 			// The post-instruction snapshot must hold the *actual* outcome
 			// so that squash recovery repairs a wrongly speculated bit.
 			w.ghistAfter[slot] = w.ghistBefore[slot]<<1 | b2u(rec.Taken)
-		}
-		lph := uint64(0)
-		if c.papPred != nil {
-			lph = c.papPred.HistorySnapshot()
 		}
 		w.lphistAfter[slot] = lph
 
@@ -169,13 +164,12 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
-// fetchAddressPrediction probes the configured address predictor for a load
-// at fetch (DLVP step 1) and enqueues a confident prediction into the PAQ
-// (step 2). Only the first two loads of a fetch group are predicted, keyed
-// by the fetch group address (the paper's FGA proxy); memory-ordering
+// fetchAddressPrediction probes the address predictor for a load at fetch
+// (DLVP step 1) and enqueues a confident prediction into the PAQ (step 2).
+// Only the first two loads of a fetch group are predicted; memory-ordering
 // loads and LSCD-blacklisted loads are excluded.
-func (c *Core) fetchAddressPrediction(seq uint64, rec *trace.Rec, fga, lphist uint64, loadIdx int) {
-	if !c.usesAddressPrediction() {
+func (c *Core) fetchAddressPrediction(seq uint64, rec *trace.Rec, lphist uint64, loadIdx int) {
+	if c.ap == nil {
 		return
 	}
 	if rec.Op.IsOrdered() {
@@ -191,27 +185,15 @@ func (c *Core) fetchAddressPrediction(seq uint64, rec *trace.Rec, fga, lphist ui
 		w.flags[slot] |= fLscdSkip
 		return
 	}
-	cd := c.cold(seq)
-	var addr uint64
-	var way int8 = -1
-	confident := false
-	switch {
-	case c.papPred != nil:
-		// The paper indexes with the fetch group address as a proxy for the
-		// load PC (their fetch groups are aligned, making the FGA stable per
-		// static load). This front end forms groups at arbitrary boundaries,
-		// so the load PC itself is the faithful equivalent of that stable
-		// key; the two-loads-per-group limit still applies.
-		_ = fga
-		cd.papLk = c.papPred.LookupWith(rec.PC, lphist)
-		w.flags[slot] |= fPapLkValid
-		addr, way, confident = cd.papLk.Addr, cd.papLk.Way, cd.papLk.Confident
-	case c.capPred != nil:
-		cd.capLk = c.capPred.Lookup(rec.PC)
-		w.flags[slot] |= fCapLkValid
-		addr, confident = cd.capLk.Addr, cd.capLk.Confident
-	}
-	if !confident {
+	// The paper indexes with the fetch group address as a proxy for the
+	// load PC (their fetch groups are aligned, making the FGA stable per
+	// static load). This front end forms groups at arbitrary boundaries,
+	// so the load PC itself is the faithful equivalent of that stable key;
+	// the two-loads-per-group limit still applies.
+	lk := c.ap.PredictSlot(int(slot), rec.PC, lphist)
+	c.cold(seq).addrLk = lk
+	w.flags[slot] |= fAddrLk
+	if !lk.Confident {
 		return
 	}
 	if c.paqLen() >= c.cfg.PAQEntries {
@@ -219,7 +201,7 @@ func (c *Core) fetchAddressPrediction(seq uint64, rec *trace.Rec, fga, lphist ui
 		return // PAQ full: prediction lost
 	}
 	*c.paqAt(c.paqLen()) = paqEntry{
-		seq: seq, addr: addr, way: way,
+		seq: seq, addr: lk.Addr, way: lk.Way,
 		// One cycle for prediction, one to ship to the back end.
 		allocated: c.now + 2,
 	}
@@ -231,50 +213,26 @@ func (c *Core) fetchAddressPrediction(seq uint64, rec *trace.Rec, fga, lphist ui
 	}
 }
 
-// fetchDVTAGE makes fetch-time D-VTAGE predictions, reusing the VTAGE
-// per-destination plumbing (vtVals/vtValid feed the same VPE install path).
-func (c *Core) fetchDVTAGE(seq uint64, rec *trace.Rec) {
-	cd := c.cold(seq)
-	cd.dvLks = cd.dvLks[:0]
+// fetchValuePrediction makes fetch-time value predictions for every
+// destination of an eligible instruction, using the branch history at
+// fetch.
+func (c *Core) fetchValuePrediction(seq uint64, rec *trace.Rec) {
 	nd := int(rec.NDst)
 	if nd > trace.MaxDests {
 		nd = trace.MaxDests
 	}
-	if !c.dvPred.Eligible(rec.Op, nd) {
+	if !c.vp.Eligible(rec.Op, nd) {
 		return
 	}
-	hist := c.ghist.Value()
-	for j := 0; j < nd; j++ {
-		lk := c.dvPred.PredictWith(rec.PC, j, hist)
-		cd.dvLks = append(cd.dvLks, lk)
-		cd.vtValid[j] = lk.Confident
-		cd.vtVals[j] = lk.Value
-		if lk.Confident {
-			c.a.w.flags[seq&windowMask] |= fVtAny
-		}
-	}
-}
-
-// fetchVTAGE makes fetch-time VTAGE predictions for every destination of an
-// eligible instruction, using the branch history at fetch.
-func (c *Core) fetchVTAGE(seq uint64, rec *trace.Rec) {
+	slot := seq & windowMask
+	c.a.w.flags[slot] |= fValueLk
 	cd := c.cold(seq)
-	cd.vtLks = cd.vtLks[:0]
-	nd := int(rec.NDst)
-	if nd > trace.MaxDests {
-		nd = trace.MaxDests
-	}
-	if !c.vtPred.Eligible(rec.Op, nd) {
-		return
-	}
 	hist := c.ghist.Value()
 	for j := 0; j < nd; j++ {
-		lk := c.vtPred.PredictWith(rec.PC, j, hist)
-		cd.vtLks = append(cd.vtLks, lk)
-		cd.vtValid[j] = lk.Confident
-		cd.vtVals[j] = lk.Value
-		if lk.Confident {
-			c.a.w.flags[seq&windowMask] |= fVtAny
+		v, ok := c.vp.PredictSlot(int(slot), j, rec.PC, hist)
+		cd.valPred[j], cd.valConf[j] = v, ok
+		if ok {
+			c.a.w.flags[slot] |= fValueConf
 		}
 	}
 }

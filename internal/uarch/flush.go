@@ -107,13 +107,13 @@ func (c *Core) applyFlush() {
 	if req.seq >= c.headSeq && c.live(req.seq) {
 		slot := req.seq & windowMask
 		c.ghist.Restore(w.ghistAfter[slot])
-		if c.papPred != nil {
-			c.papPred.RestoreHistory(w.lphistAfter[slot])
+		if c.ap != nil {
+			c.ap.RestoreHistory(w.lphistAfter[slot])
 		}
 	} else {
 		c.ghist.Restore(c.committedGhist)
-		if c.papPred != nil {
-			c.papPred.RestoreHistory(c.committedLphist)
+		if c.ap != nil {
+			c.ap.RestoreHistory(c.committedLphist)
 		}
 	}
 

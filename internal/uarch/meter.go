@@ -1,6 +1,9 @@
 package uarch
 
-import "dlvp/internal/energy"
+import (
+	"dlvp/internal/energy"
+	"dlvp/internal/predictor"
+)
 
 // meterEnergy registers the core's structures with the energy meter and
 // feeds in the access counts accumulated during the run. DLVP's probes are
@@ -31,26 +34,20 @@ func (c *Core) meterEnergy() {
 	m.AddWrites("PVT", c.pvtWrites)
 	m.AddReads("PVT", c.pvtWrites) // each predicted value is read ~once
 
-	if c.papPred != nil {
-		m.Register(energy.RAMSpec{Name: "APT", Bits: c.papPred.StorageBits(), ReadPorts: 2, WritePorts: 1})
-		m.AddReads("APT", c.papPred.Lookups)
-		m.AddWrites("APT", c.papPred.Lookups) // trained once per lookup
+	for _, t := range c.tables() {
+		if t == nil {
+			continue
+		}
+		m.Register(energy.RAMSpec{Name: t.Name(), Bits: t.StorageBits(), ReadPorts: 2, WritePorts: 1})
+		m.AddReads(t.Name(), t.LookupCount())
+		m.AddWrites(t.Name(), t.LookupCount()) // trained once per lookup
 	}
-	if c.capPred != nil {
-		m.Register(energy.RAMSpec{Name: "CAP", Bits: c.capPred.StorageBits(), ReadPorts: 2, WritePorts: 1})
-		m.AddReads("CAP", c.capPred.Lookups)
-		m.AddWrites("CAP", c.capPred.Lookups)
-	}
-	if c.dvPred != nil {
-		m.Register(energy.RAMSpec{Name: "DVTAGE", Bits: c.dvPred.StorageBits(), ReadPorts: 2, WritePorts: 1})
-		m.AddReads("DVTAGE", c.dvPred.Lookups)
-		m.AddWrites("DVTAGE", c.dvPred.Lookups)
-	}
-	if c.vtPred != nil {
-		m.Register(energy.RAMSpec{Name: "VTAGE", Bits: c.vtPred.StorageBits(), ReadPorts: 2, WritePorts: 1})
-		m.AddReads("VTAGE", c.vtPred.Lookups)
-		m.AddWrites("VTAGE", c.vtPred.Lookups)
-	}
+}
+
+// tables returns the prediction components' tables, nil where a component
+// is absent.
+func (c *Core) tables() [2]predictor.Metered {
+	return [2]predictor.Metered{c.ap, c.vp}
 }
 
 // Meter exposes the energy meter (populated after Run).

@@ -1,8 +1,7 @@
 package uarch
 
 import (
-	"dlvp/internal/config"
-	"dlvp/internal/predictor/tournament"
+	"dlvp/internal/predictor"
 	"dlvp/internal/trace"
 )
 
@@ -73,26 +72,24 @@ func (c *Core) installPrediction(seq uint64, rec *trace.Rec, vpBudget *int) {
 	f := w.flags[slot]
 	cd := c.cold(seq)
 
-	dlvpReady := f&fProbeDone != 0 && f&fProbeHit != 0 && cd.probeDeliver <= c.now
+	addrReady := f&fProbeDone != 0 && f&fProbeHit != 0 && cd.probeDeliver <= c.now
 	if f&fProbeDone != 0 && f&fProbeHit != 0 && cd.probeDeliver > c.now {
 		c.stats.VPDropLate++
 	}
-	vtageReady := f&fVtAny != 0
+	valueReady := f&fValueConf != 0
 
-	side := tournament.SideNone
-	switch c.cfg.VP.Scheme {
-	case config.VPDLVP, config.VPCAP:
-		if dlvpReady {
-			side = tournament.SideDLVP
-		}
-	case config.VPVTAGE, config.VPDVTAGE:
-		if vtageReady {
-			side = tournament.SideVTAGE
-		}
-	case config.VPTournament:
-		side = c.chooser.Choose(rec.PC, dlvpReady, vtageReady)
+	// The chooser arbitrates when present; otherwise at most one component
+	// is attached, and only an attached component can be ready.
+	side := predictor.SideNone
+	switch {
+	case c.chooser != nil:
+		side = c.chooser.Choose(rec.PC, addrReady, valueReady)
+	case addrReady:
+		side = predictor.SideAddress
+	case valueReady:
+		side = predictor.SideValue
 	}
-	if side == tournament.SideNone {
+	if side == predictor.SideNone {
 		return
 	}
 
@@ -101,16 +98,16 @@ func (c *Core) installPrediction(seq uint64, rec *trace.Rec, vpBudget *int) {
 	// destination count, so a dropped install leaves no observable state.
 	count := 0
 	switch side {
-	case tournament.SideDLVP:
+	case predictor.SideAddress:
 		for j := 0; j < nd; j++ {
 			cd.vpVals[j] = cd.probeVals[j]
 			cd.vpPerDest[j] = true
 			count++
 		}
-	case tournament.SideVTAGE:
+	case predictor.SideValue:
 		for j := 0; j < nd; j++ {
-			ok := cd.vtValid[j]
-			cd.vpVals[j] = cd.vtVals[j]
+			ok := cd.valConf[j]
+			cd.vpVals[j] = cd.valPred[j]
 			cd.vpPerDest[j] = ok
 			if ok {
 				count++
@@ -129,13 +126,7 @@ func (c *Core) installPrediction(seq uint64, rec *trace.Rec, vpBudget *int) {
 		return
 	}
 
-	correct := true
-	for j := 0; j < nd; j++ {
-		if cd.vpPerDest[j] && cd.vpVals[j] != rec.DestValue(j) {
-			correct = false
-		}
-	}
-	if c.cfg.VP.OracleReplay && !correct {
+	if c.cfg.VP.OracleReplay && !vpCorrect(cd, rec) {
 		// Oracle replay: the misprediction is converted into a
 		// no-prediction — counted, never flushed, never woken early.
 		w.flags[slot] |= fVpOracleDropped

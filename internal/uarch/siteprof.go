@@ -1,7 +1,7 @@
 package uarch
 
 import (
-	"dlvp/internal/predictor/tournament"
+	"dlvp/internal/predictor"
 	"dlvp/internal/siteprof"
 )
 
@@ -61,9 +61,9 @@ func (c *Core) spRecord(seq uint64, predicted, correct bool) {
 }
 
 // spCause derives the attribution cause from the evidence already on the
-// window entry: the fetch-time predictor lookups, the LSCD decision, the
-// probe outcome, the train-time APT outcome code, and the committed
-// record's actual address.
+// window entry: the fetch-time address lookup, the LSCD decision, the
+// probe outcome, the train-time alias report, and the committed record's
+// actual address.
 func (c *Core) spCause(seq uint64, predicted, correct bool) siteprof.Cause {
 	if correct {
 		return siteprof.CauseCorrect
@@ -72,28 +72,17 @@ func (c *Core) spCause(seq uint64, predicted, correct bool) siteprof.Cause {
 	cd := c.cold(seq)
 	if predicted {
 		// A prediction was made (or oracle-suppressed) and was wrong: why?
-		if cd.vpSource == tournament.SideVTAGE {
+		if cd.vpSource == predictor.SideValue || f&fAddrLk == 0 {
 			return siteprof.CauseValueWrong // value-side miss, no address context
 		}
-		var predictedAddr uint64
-		have := false
-		switch {
-		case f&fPapLkValid != 0:
-			predictedAddr, have = cd.papLk.Addr, true
-		case f&fCapLkValid != 0:
-			predictedAddr, have = cd.capLk.Addr, true
-		}
-		if !have {
-			return siteprof.CauseValueWrong
-		}
-		if predictedAddr == c.rec(seq).Addr {
+		if cd.addrLk.Addr == c.rec(seq).Addr {
 			// Right address, wrong value: a store rewrote the location
 			// between the probe and the load — the paper's Challenge #1.
 			return siteprof.CauseStoreConflict
 		}
-		if f&fPapTrainValid != 0 && cd.papTrain.Alias() {
-			// Training found the APT slot reallocated between lookup and
-			// train: the predicted address belonged to an aliasing site.
+		if f&fAddrAlias != 0 {
+			// Training found the predictor entry reallocated between lookup
+			// and train: the predicted address belonged to an aliasing site.
 			return siteprof.CauseTagAlias
 		}
 		return siteprof.CauseAddrMispredict
@@ -103,24 +92,16 @@ func (c *Core) spCause(seq uint64, predicted, correct bool) siteprof.Cause {
 	switch {
 	case f&fLscdSkip != 0:
 		return siteprof.CauseLSCDFiltered
-	case f&fPapLkValid != 0:
-		if !cd.papLk.Hit {
+	case f&fAddrLk != 0:
+		if !cd.addrLk.Hit {
 			return siteprof.CauseAPTMiss
 		}
-		if !cd.papLk.Confident {
+		if !cd.addrLk.Confident {
 			return siteprof.CauseConfidenceDropped
 		}
 		// Confident at fetch but nothing installed: lost to PAQ overflow,
 		// lifetime expiry, a late or missing probe, the install budget, or
 		// a full PVT.
-		return siteprof.CausePAQDrop
-	case f&fCapLkValid != 0:
-		if !cd.capLk.LBHit || !cd.capLk.LinkHit {
-			return siteprof.CauseAPTMiss
-		}
-		if !cd.capLk.Confident {
-			return siteprof.CauseConfidenceDropped
-		}
 		return siteprof.CausePAQDrop
 	default:
 		return siteprof.CauseUnpredicted

@@ -74,14 +74,15 @@ func (c *Core) tlCumulative(cum *timeline.Counters) {
 		cum.LSCDInserts = c.lscd.Inserts
 		cum.LSCDFiltered = c.lscd.Filtered
 	}
-	if c.papPred != nil {
-		cum.APTLookups = c.papPred.Lookups
-		cum.APTHits = c.papPred.Hits
-		cum.APTAllocations = c.papPred.Allocations
-		cum.APTConfResets = c.papPred.ConfResets
-		cum.APTTagAliases = c.papPred.TagAliases
-		cum.FPCBumps = c.papPred.ConfBumps
-		cum.FPCSaturations = c.papPred.ConfSaturations
+	if c.ap != nil {
+		apt := c.ap.APTCounters()
+		cum.APTLookups = apt.Lookups
+		cum.APTHits = apt.Hits
+		cum.APTAllocations = apt.Allocations
+		cum.APTConfResets = apt.ConfResets
+		cum.APTTagAliases = apt.TagAliases
+		cum.FPCBumps = apt.ConfBumps
+		cum.FPCSaturations = apt.ConfSaturations
 	}
 	m := c.hier.Counters()
 	cum.Probes = m.Probes

@@ -172,6 +172,37 @@ func TestTournamentRuns(t *testing.T) {
 	}
 }
 
+// TestCoverageDenominator pins which instructions count toward coverage:
+// every value-producing instruction only under a lone value predictor that
+// is not restricted to loads; loads otherwise, including a tournament whose
+// VTAGE side predicts all instructions.
+func TestCoverageDenominator(t *testing.T) {
+	const n = 10_000
+	vtageAll := config.VTAGE()
+	vtageAll.VP.VTAGE.LoadsOnly = false
+	dvtageAll := config.DVTAGE()
+	dvtageAll.VP.DVTAGE.LoadsOnly = false
+	tournamentAll := config.Tournament()
+	tournamentAll.VP.VTAGE.LoadsOnly = false
+	for _, tc := range []struct {
+		name     string
+		cfg      config.Core
+		allInstr bool
+	}{
+		{"vtage", config.VTAGE(), false},
+		{"vtage-all", vtageAll, true},
+		{"dvtage-all", dvtageAll, true},
+		{"tournament-all", tournamentAll, false},
+		{"dlvp", config.DLVP(), false},
+	} {
+		s := runWorkload(t, "perlbmk", tc.cfg, n)
+		if onLoads := s.VP.Eligible == s.Loads; onLoads == tc.allInstr {
+			t.Errorf("%s: eligible %d, loads %d; want all-instruction denominator %v",
+				tc.name, s.VP.Eligible, s.Loads, tc.allInstr)
+		}
+	}
+}
+
 func TestOracleReplayNeverFlushesOnValue(t *testing.T) {
 	const n = 40_000
 	cfg := config.DLVP()

@@ -4,11 +4,7 @@ import (
 	"sync"
 
 	"dlvp/internal/branch"
-	"dlvp/internal/predictor/cap"
-	"dlvp/internal/predictor/dvtage"
-	"dlvp/internal/predictor/pap"
-	"dlvp/internal/predictor/tournament"
-	"dlvp/internal/predictor/vtage"
+	"dlvp/internal/predictor"
 	"dlvp/internal/trace"
 )
 
@@ -16,7 +12,7 @@ import (
 // field lives in its own column, indexed by seq & windowMask. The hot
 // scheduling columns (flags, ready/complete times, dependencies) are small
 // dense arrays the per-cycle loops stream through; everything the scheduler
-// never touches — predictor lookup contexts, probed values, RAS snapshots —
+// never touches — predictor lookup results, probed values, RAS snapshots —
 // sits in a cold per-slot struct read only on the prediction and commit
 // paths. Fetching an instruction initialises only the hot columns; cold
 // fields are written lazily by the stage that produces them and are always
@@ -83,10 +79,10 @@ const (
 	fProbeDone
 	fProbeHit
 	fProbeTLB
-	fPapLkValid
-	fCapLkValid
-	fPapTrainValid
-	fVtAny
+	fAddrLk    // the address predictor looked this load up (addrLk)
+	fAddrAlias // address training found the entry reallocated (a tag alias)
+	fValueLk   // the value predictor looked up every destination
+	fValueConf // some destination has a confident value prediction
 	fVpMade
 	fVpOracleDropped
 	fHasRasAfter
@@ -105,28 +101,23 @@ const fIsMem = fIsLoad | fIsStore
 
 // coldState carries the per-instruction fields the scheduling loops never
 // read. Each field is valid only when its producing stage set the matching
-// flag bit (papLk ↔ fPapLkValid, probeVals ↔ fProbeHit, ...), so stale
-// data from a previous occupant of the slot is never observed.
+// flag bit (addrLk ↔ fAddrLk, probeVals ↔ fProbeHit, ...), so stale data
+// from a previous occupant of the slot is never observed. Predictors keep
+// their own training context per slot; the window holds only their
+// scheme-neutral results.
 type coldState struct {
-	papLk    pap.Lookup
-	capLk    cap.Lookup
-	papTrain pap.TrainOutcome
-	tageLk   branch.Lookup // conditional-branch indices, hashed once at fetch
+	addrLk predictor.AddrLookup
+	tageLk branch.Lookup // conditional-branch indices, hashed once at fetch
 
 	probeDeliver uint64 // cycle the probed value reaches the VPE
 	probeVals    [trace.MaxDests]uint64
 
-	// VTAGE state (shared by VTAGE and D-VTAGE; dvLks carries the
-	// differential predictor's training context). The slices are sticky
-	// per-slot scratch: fetch resets the length, capacity is recycled, so
-	// steady state allocates nothing.
-	vtLks   []vtage.Lookup
-	dvLks   []dvtage.Lookup
-	vtVals  [trace.MaxDests]uint64
-	vtValid [trace.MaxDests]bool
+	// Fetch-time value predictions per destination (behind fValueLk).
+	valPred [trace.MaxDests]uint64
+	valConf [trace.MaxDests]bool
 
 	// Final value prediction installed in the PVT at rename.
-	vpSource   tournament.Side
+	vpSource   predictor.Side
 	vpVals     [trace.MaxDests]uint64
 	vpPerDest  [trace.MaxDests]bool
 	vpNumDests int
