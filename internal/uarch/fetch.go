@@ -7,8 +7,8 @@ import (
 
 // fetchStage models the in-order front end: one fetch group per cycle (up
 // to FetchWidth instructions, ending at a taken branch), branch prediction
-// with speculative history updates, and fetch-time address prediction of up
-// to two loads per group and value prediction.
+// with speculative history updates, and fetch-time address prediction (up
+// to two loads per group) and value prediction.
 func (c *Core) fetchStage() {
 	if c.now < c.fetchStallUntil || c.haltSeen {
 		return
