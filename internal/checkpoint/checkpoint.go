@@ -1,12 +1,14 @@
 package checkpoint
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"sort"
 	"sync"
 
 	"dlvp/internal/emu"
+	"dlvp/internal/lru"
 	"dlvp/internal/program"
 	"dlvp/internal/trace"
 )
@@ -53,23 +55,17 @@ func (e *HaltedEarlyError) Error() string {
 		e.Workload, e.Got, e.Want)
 }
 
-// entry is one resident encoded checkpoint.
-type entry struct {
-	key      string
+// key names one checkpoint: the state of workload after offset dynamic
+// instructions.
+type key struct {
 	workload string
 	offset   uint64
-	enc      []byte
-	sum      [sha256.Size]byte
-
-	prev, next *entry // intrusive LRU (head = most recent)
 }
 
-// flight is one in-progress checkpoint build; duplicate requests wait on
-// done instead of emulating the same prefix twice.
-type flight struct {
-	done chan struct{}
-	snap *emu.Snapshot // built state (readers must Clone)
-	err  error
+// entry is one resident encoded checkpoint.
+type entry struct {
+	enc []byte
+	sum [sha256.Size]byte
 }
 
 // Stats is a snapshot of the store counters.
@@ -90,15 +86,13 @@ type Stats struct {
 // use. The zero value is not usable; construct with NewStore. A nil
 // *Store is valid and behaves as an always-cold store with no retention.
 type Store struct {
-	budget int64
-
-	mu       sync.Mutex
-	entries  map[string]*entry
-	index    map[string][]uint64 // workload -> resident offsets, ascending
-	flights  map[string]*flight
-	lruHead  *entry
-	lruTail  *entry
-	resident int64
+	// mu guards the cache, the offset index (kept in step with the cache
+	// through its OnDrop hook) and the flights. A flight's snapshot is
+	// shared by its waiters, who must Clone it.
+	mu      sync.Mutex
+	cache   *lru.Cache[key, *entry] // costed in encoded bytes
+	index   map[string][]uint64     // workload -> resident offsets, ascending
+	flights lru.Group[key, *emu.Snapshot]
 
 	hits      int64
 	chained   int64
@@ -114,22 +108,12 @@ func NewStore(budget int64) *Store {
 	if budget <= 0 {
 		budget = DefaultBudgetBytes
 	}
-	return &Store{
-		budget:  budget,
-		entries: make(map[string]*entry),
-		index:   make(map[string][]uint64),
-		flights: make(map[string]*flight),
+	s := &Store{
+		cache: lru.New[key, *entry](budget),
+		index: make(map[string][]uint64),
 	}
-}
-
-// storeKey builds the map key for (workload, offset); the offset is
-// fixed-width so keys never collide across the name boundary.
-func storeKey(workload string, offset uint64) string {
-	var buf [8]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(offset >> (8 * i))
-	}
-	return workload + "\x00" + string(buf[:])
+	s.cache.OnDrop = func(k key, _ *entry) { s.indexRemove(k.workload, k.offset) }
+	return s
 }
 
 // Stats snapshots the store counters.
@@ -140,9 +124,9 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		BudgetBytes:   s.budget,
-		ResidentBytes: s.resident,
-		Entries:       len(s.entries),
+		BudgetBytes:   s.cache.Budget(),
+		ResidentBytes: s.cache.Used(),
+		Entries:       s.cache.Len(),
 		Hits:          s.hits,
 		Chained:       s.chained,
 		Cold:          s.cold,
@@ -167,26 +151,25 @@ func (s *Store) StateAt(workload string, prog *program.Program, offset uint64) (
 	if s == nil {
 		return buildFrom(nil, workload, prog, offset)
 	}
-	key := storeKey(workload, offset)
+	k := key{workload, offset}
 	s.mu.Lock()
-	if snap, err := s.decodeLocked(key); err == nil && snap != nil {
+	if snap, err := s.decodeLocked(k); err == nil && snap != nil {
 		s.hits++
 		s.mu.Unlock()
 		return snap, OutcomeHit, nil
 	}
-	if fl, ok := s.flights[key]; ok {
+	fl, lead := s.flights.Lead(k)
+	if !lead {
 		s.mu.Unlock()
-		<-fl.done
-		if fl.err != nil {
-			return nil, OutcomeCoalesced, fl.err
+		snap, err := fl.Join(context.TODO())
+		if err != nil {
+			return nil, OutcomeCoalesced, err
 		}
 		s.mu.Lock()
 		s.coalesced++
 		s.mu.Unlock()
-		return fl.snap.Clone(), OutcomeCoalesced, nil
+		return snap.Clone(), OutcomeCoalesced, nil
 	}
-	fl := &flight{done: make(chan struct{})}
-	s.flights[key] = fl
 
 	// Base for the chain: the nearest resident checkpoint below offset.
 	var base *emu.Snapshot
@@ -194,7 +177,7 @@ func (s *Store) StateAt(workload string, prog *program.Program, offset uint64) (
 	i := sort.Search(len(offs), func(i int) bool { return offs[i] >= offset })
 	for i > 0 {
 		i--
-		snap, err := s.decodeLocked(storeKey(workload, offs[i]))
+		snap, err := s.decodeLocked(key{workload, offs[i]})
 		if err == nil && snap != nil {
 			base = snap
 			break
@@ -213,11 +196,9 @@ func (s *Store) StateAt(workload string, prog *program.Program, offset uint64) (
 		}
 		s.mu.Unlock()
 	}
-	fl.snap, fl.err = snap, err
 	s.mu.Lock()
-	delete(s.flights, key)
+	s.flights.Finish(k, snap, err)
 	s.mu.Unlock()
-	close(fl.done)
 	if err != nil {
 		return nil, outcome, err
 	}
@@ -253,25 +234,24 @@ func (s *Store) CPUAt(workload string, prog *program.Program, offset uint64) (*e
 	return emu.NewFromSnapshot(prog, snap), outcome, nil
 }
 
-// decodeLocked decodes the resident entry for key, verifying its content
-// hash. Returns (nil, nil) when the key is not resident. A hash or codec
+// decodeLocked decodes the resident entry for k, verifying its content
+// hash. Returns (nil, nil) when k is not resident. A hash or codec
 // mismatch drops the entry (corruption must not be served) and reports
 // the error. Caller holds s.mu.
-func (s *Store) decodeLocked(key string) (*emu.Snapshot, error) {
-	e, ok := s.entries[key]
+func (s *Store) decodeLocked(k key) (*emu.Snapshot, error) {
+	e, ok := s.cache.Get(k)
 	if !ok {
 		return nil, nil
 	}
 	if sha256.Sum256(e.enc) != e.sum {
-		s.removeLocked(e)
-		return nil, fmt.Errorf("checkpoint: content hash mismatch for %q@%d", e.workload, e.offset)
+		s.cache.Remove(k)
+		return nil, fmt.Errorf("checkpoint: content hash mismatch for %q@%d", k.workload, k.offset)
 	}
 	snap, err := Decode(e.enc)
 	if err != nil {
-		s.removeLocked(e)
+		s.cache.Remove(k)
 		return nil, err
 	}
-	s.lruTouch(e)
 	return snap, nil
 }
 
@@ -283,33 +263,18 @@ func (s *Store) put(workload string, offset uint64, snap *emu.Snapshot) {
 		return
 	}
 	enc := Encode(snap)
-	if int64(len(enc)) > s.budget {
+	if int64(len(enc)) > s.cache.Budget() {
 		return
 	}
-	key := storeKey(workload, offset)
+	k := key{workload, offset}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.entries[key]; ok {
+	if _, ok := s.cache.Peek(k); ok {
 		return
 	}
-	e := &entry{key: key, workload: workload, offset: offset, enc: enc, sum: sha256.Sum256(enc)}
-	s.entries[key] = e
 	s.indexInsert(workload, offset)
-	s.resident += int64(len(enc))
-	s.lruPushFront(e)
-	for s.lruTail != nil && s.resident > s.budget {
-		victim := s.lruTail
-		s.removeLocked(victim)
-		s.evictions++
-	}
-}
-
-// removeLocked drops e from the map, index, LRU and byte accounting.
-func (s *Store) removeLocked(e *entry) {
-	delete(s.entries, e.key)
-	s.indexRemove(e.workload, e.offset)
-	s.resident -= int64(len(e.enc))
-	s.lruRemove(e)
+	e := &entry{enc: enc, sum: sha256.Sum256(enc)}
+	s.evictions += int64(s.cache.Add(k, e, int64(len(enc))))
 }
 
 func (s *Store) indexInsert(workload string, offset uint64) {
@@ -330,41 +295,6 @@ func (s *Store) indexRemove(workload string, offset uint64) {
 	if i < len(offs) && offs[i] == offset {
 		s.index[workload] = append(offs[:i], offs[i+1:]...)
 	}
-}
-
-// --- intrusive LRU (s.mu held) ----------------------------------------------
-
-func (s *Store) lruPushFront(e *entry) {
-	e.prev, e.next = nil, s.lruHead
-	if s.lruHead != nil {
-		s.lruHead.prev = e
-	}
-	s.lruHead = e
-	if s.lruTail == nil {
-		s.lruTail = e
-	}
-}
-
-func (s *Store) lruTouch(e *entry) {
-	if s.lruHead == e {
-		return
-	}
-	s.lruRemove(e)
-	s.lruPushFront(e)
-}
-
-func (s *Store) lruRemove(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else if s.lruHead == e {
-		s.lruHead = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else if s.lruTail == e {
-		s.lruTail = e.prev
-	}
-	e.prev, e.next = nil, nil
 }
 
 // --- opportunistic capture ---------------------------------------------------

@@ -113,7 +113,7 @@ func MergeExpositions(parts []Exposition) string {
 			v = 0
 		}
 		up.samples = append(up.samples,
-			fmt.Sprintf("%s{instance=%q} %d", PeerUpMetric, escapeLabel(part.Instance), v))
+			fmt.Sprintf("%s%s %d", PeerUpMetric, labelString([]string{"instance"}, []string{part.Instance}, "", ""), v))
 	}
 
 	for _, name := range order {

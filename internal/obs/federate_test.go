@@ -93,7 +93,12 @@ func TestMergeExpositionsEscapesInstanceNames(t *testing.T) {
 	out := MergeExpositions([]Exposition{
 		{Instance: "we\"ird\\name", Text: "m_total 1\n"},
 	})
-	if !strings.Contains(out, `m_total{instance="we\"ird\\name"} 1`) {
-		t.Errorf("instance label not escaped:\n%s", out)
+	// The injected sample and the synthetic peer_up gauge carry the same,
+	// singly escaped label.
+	label := `{instance="we\"ird\\name"}`
+	for _, want := range []string{"m_total" + label + " 1", PeerUpMetric + label + " 1"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("merged exposition missing %s:\n%s", want, out)
+		}
 	}
 }

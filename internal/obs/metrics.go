@@ -283,10 +283,10 @@ func (r *Registry) Handler() http.Handler {
 }
 
 func (f *family) write(b *strings.Builder) {
-	fmt.Fprintf(b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
-	fmt.Fprintf(b, "# TYPE %s %s\n", f.name, f.typ)
+	pw := PromWriter{W: b}
+	pw.Family(f.name, f.typ.String(), f.help, f.labels...)
 	if f.fn != nil {
-		fmt.Fprintf(b, "%s %s\n", f.name, formatFloat(f.fn()))
+		pw.Float(f.fn())
 		return
 	}
 	f.mu.Lock()
@@ -298,9 +298,9 @@ func (f *family) write(b *strings.Builder) {
 	for _, c := range children {
 		switch f.typ {
 		case counterType:
-			fmt.Fprintf(b, "%s%s %d\n", f.name, labelString(f.labels, c.values, "", ""), c.bits.Load())
+			pw.Uint(c.bits.Load(), c.values...)
 		case gaugeType:
-			fmt.Fprintf(b, "%s%s %s\n", f.name, labelString(f.labels, c.values, "", ""), formatFloat(math.Float64frombits(c.bits.Load())))
+			pw.Float(math.Float64frombits(c.bits.Load()), c.values...)
 		case histogramType:
 			var cum uint64
 			for i, bound := range c.hist.bounds {
@@ -313,6 +313,33 @@ func (f *family) write(b *strings.Builder) {
 			fmt.Fprintf(b, "%s_count%s %d\n", f.name, labelString(f.labels, c.values, "", ""), c.hist.count.Load())
 		}
 	}
+}
+
+// PromWriter writes Prometheus text exposition families: the registry's
+// own, and documents whose samples are not registry metrics (a run's
+// timeline, a site profile), with one escaping and number format.
+type PromWriter struct {
+	W      io.Writer
+	name   string
+	labels []string
+}
+
+// Family starts a metric family: it writes the # HELP and # TYPE lines
+// and fixes the label names of the samples that follow.
+func (p *PromWriter) Family(name, typ, help string, labels ...string) {
+	p.name, p.labels = name, labels
+	fmt.Fprintf(p.W, "# HELP %s %s\n# TYPE %s %s\n", name, escapeHelp(help), name, typ)
+}
+
+// Float writes one sample of the current family; values pair with the
+// family's label names.
+func (p *PromWriter) Float(v float64, values ...string) {
+	fmt.Fprintf(p.W, "%s%s %s\n", p.name, labelString(p.labels, values, "", ""), formatFloat(v))
+}
+
+// Uint writes one integer sample of the current family.
+func (p *PromWriter) Uint(v uint64, values ...string) {
+	fmt.Fprintf(p.W, "%s%s %d\n", p.name, labelString(p.labels, values, "", ""), v)
 }
 
 // labelString renders {k="v",...}, appending the optional extra pair (used

@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"sync"
 	"time"
+
+	"dlvp/internal/lru"
 )
 
 // DefaultTraceCapacity bounds the tracer ring when NewTracer is given a
@@ -50,13 +52,11 @@ type trace struct {
 	dropped int
 }
 
-// Tracer is a bounded ring of recent traces keyed by ID. Once the ring is
-// full, beginning a new trace evicts the oldest.
+// Tracer holds a bounded set of recent traces keyed by ID. Once it is
+// full, beginning a new trace evicts the least recently active one.
 type Tracer struct {
-	mu    sync.Mutex
-	cap   int
-	order []string
-	byID  map[string]*trace
+	mu     sync.Mutex
+	traces *lru.Cache[string, *trace]
 }
 
 // NewTracer returns a tracer retaining up to capacity traces
@@ -65,7 +65,7 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	return &Tracer{cap: capacity, byID: make(map[string]*trace)}
+	return &Tracer{traces: lru.New[string, *trace](int64(capacity))}
 }
 
 // Begin registers a trace ID so subsequent StartSpan calls under it are
@@ -77,15 +77,10 @@ func (t *Tracer) Begin(id string) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.byID[id]; ok {
+	if _, ok := t.traces.Peek(id); ok {
 		return
 	}
-	for len(t.order) >= t.cap {
-		delete(t.byID, t.order[0])
-		t.order = t.order[1:]
-	}
-	t.byID[id] = &trace{id: id, start: time.Now()}
-	t.order = append(t.order, id)
+	t.traces.Add(id, &trace{id: id, start: time.Now()}, 1)
 }
 
 func (t *Tracer) lookup(id string) *trace {
@@ -94,34 +89,23 @@ func (t *Tracer) lookup(id string) *trace {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.byID[id]
+	tr, _ := t.traces.Peek(id)
+	return tr
 }
 
-// active is lookup plus an eviction-order refresh: a trace still
-// accumulating spans moves to the back of the ring. Without this the ring
-// is FIFO by Begin time, and a minutes-long operation (a distributed
-// sweep recording shard spans throughout) is evicted seconds after
-// submission by probe and poll traffic minting fresh traces. Read-only
-// queries (Get, Summaries) deliberately do not refresh.
+// active is lookup plus a recency refresh: a trace still accumulating
+// spans becomes the newest. Without this eviction is FIFO by Begin time,
+// and a minutes-long operation (a distributed sweep recording shard spans
+// throughout) is evicted seconds after submission by probe and poll
+// traffic minting fresh traces. Read-only queries (Get, Summaries)
+// deliberately do not refresh.
 func (t *Tracer) active(id string) *trace {
 	if t == nil || id == "" {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	tr := t.byID[id]
-	if tr == nil {
-		return nil
-	}
-	if n := len(t.order); n > 1 && t.order[n-1] != id {
-		for i, v := range t.order {
-			if v == id {
-				copy(t.order[i:], t.order[i+1:])
-				t.order[n-1] = id
-				break
-			}
-		}
-	}
+	tr, _ := t.traces.Get(id)
 	return tr
 }
 
@@ -185,10 +169,7 @@ func (t *Tracer) Summaries() []TraceSummary {
 		return nil
 	}
 	t.mu.Lock()
-	traces := make([]*trace, 0, len(t.order))
-	for i := len(t.order) - 1; i >= 0; i-- {
-		traces = append(traces, t.byID[t.order[i]])
-	}
+	traces := t.traces.Values()
 	t.mu.Unlock()
 	out := make([]TraceSummary, 0, len(traces))
 	for _, tr := range traces {
@@ -211,7 +192,7 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.byID)
+	return t.traces.Len()
 }
 
 // --- context plumbing --------------------------------------------------------

@@ -37,6 +37,7 @@ import (
 
 	"dlvp/internal/checkpoint"
 	"dlvp/internal/config"
+	"dlvp/internal/lru"
 	"dlvp/internal/metrics"
 	"dlvp/internal/obs"
 	"dlvp/internal/siteprof"
@@ -247,15 +248,19 @@ func registerCheckpointMetrics(reg *obs.Registry, st *checkpoint.Store) {
 type Runner struct {
 	workers int
 	sem     chan struct{}
-	cache   *LRU[Result]
 	tcache  *tracecache.Cache
 	ckpt    *checkpoint.Store
 	inst    *instruments
 	tlOpts  TimelineOptions
 	spOpts  SiteOptions
 
+	// mu guards the result cache, the flights and the live recorders. A
+	// lead publishes its result to the cache and retires its flight in one
+	// critical section, so a caller that misses the cache always finds the
+	// flight (or the cached result) and never simulates a job twice.
 	mu        sync.Mutex
-	flights   map[string]*flight
+	cache     *lru.Cache[string, Result] // nil: caching disabled
+	flights   lru.Group[string, Result]
 	live      map[string]*timeline.Recorder
 	liveSites map[string]*siteprof.Collector
 
@@ -274,26 +279,18 @@ type Runner struct {
 	sampledIntervals atomic.Int64
 }
 
-// flight is one in-progress computation of a job key; duplicates wait on
-// done instead of re-simulating.
-type flight struct {
-	done chan struct{}
-	res  Result
-	err  error
-}
-
 // New returns a runner with the given options.
 func New(opts Options) *Runner {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	var cache *LRU[Result]
+	var cache *lru.Cache[string, Result]
 	switch {
 	case opts.CacheEntries == 0:
-		cache = NewLRU[Result](DefaultCacheEntries)
+		cache = lru.New[string, Result](DefaultCacheEntries)
 	case opts.CacheEntries > 0:
-		cache = NewLRU[Result](opts.CacheEntries)
+		cache = lru.New[string, Result](int64(opts.CacheEntries))
 	}
 	if opts.Obs != nil && opts.TraceCache != nil {
 		registerTraceCacheMetrics(opts.Obs.Metrics, opts.TraceCache)
@@ -314,7 +311,6 @@ func New(opts Options) *Runner {
 		inst:      newInstruments(opts.Obs),
 		tlOpts:    opts.Timeline,
 		spOpts:    opts.Sites,
-		flights:   make(map[string]*flight),
 		live:      make(map[string]*timeline.Recorder),
 		liveSites: make(map[string]*siteprof.Collector),
 	}
@@ -371,10 +367,12 @@ func (r *Runner) RunResult(ctx context.Context, job Job) (Result, bool, error) {
 	sp.Attr("workload", job.Workload).
 		Attr("instrs", strconv.FormatUint(job.Instrs, 10))
 
+	r.mu.Lock()
 	if r.cache != nil {
 		// A cached result that predates a recording feature cannot satisfy
 		// an engine configured to produce it; fall through and re-simulate.
 		if res, ok := r.cache.Get(key); ok && r.satisfies(res) {
+			r.mu.Unlock()
 			r.hits.Add(1)
 			r.done.Add(1)
 			r.countLookup("hit")
@@ -382,43 +380,38 @@ func (r *Runner) RunResult(ctx context.Context, job Job) (Result, bool, error) {
 			return res, true, nil
 		}
 	}
-
-	r.mu.Lock()
-	if fl, ok := r.flights[key]; ok {
-		r.mu.Unlock()
-		select {
-		case <-fl.done:
-			if fl.err != nil {
-				// The flight's lead already accounted this failure (or
-				// cancellation); counting it again per waiter would
-				// multi-count one failed simulation.
-				sp.Attr("cache", "coalesced").Attr("error", fl.err.Error()).End()
-				return zero, false, fl.err
-			}
+	fl, lead := r.flights.Lead(key)
+	r.mu.Unlock()
+	if !lead {
+		res, err := fl.Join(ctx)
+		switch {
+		case err == nil:
 			r.coalesced.Add(1)
 			r.done.Add(1)
 			r.countLookup("coalesced")
 			sp.Attr("cache", "coalesced").End()
-			return fl.res, true, nil
-		case <-ctx.Done():
+			return res, true, nil
+		case err == ctx.Err():
 			// The caller gave up waiting; the underlying simulation is
 			// unaffected (and usually succeeds), so this is a cancelled
 			// wait, not a failed job.
 			r.cancelled.Add(1)
 			r.countLookup("cancelled")
-			sp.Attr("cache", "cancelled").Attr("error", ctx.Err().Error()).End()
-			return zero, false, ctx.Err()
+			sp.Attr("cache", "cancelled").Attr("error", err.Error()).End()
+		default:
+			// The flight's lead already accounted this failure (or
+			// cancellation); counting it again per waiter would
+			// multi-count one failed simulation.
+			sp.Attr("cache", "coalesced").Attr("error", err.Error()).End()
 		}
+		return zero, false, err
 	}
-	fl := &flight{done: make(chan struct{})}
-	r.flights[key] = fl
-	r.mu.Unlock()
 	if r.cache != nil {
 		r.misses.Add(1)
 		r.countLookup("miss")
 	}
 
-	res, err := r.lead(ctx, key, fl, w, job)
+	res, err := r.lead(ctx, key, w, job)
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			r.cancelled.Add(1)
@@ -455,6 +448,8 @@ func (r *Runner) CachedResult(key string) (Result, bool) {
 	if r.cache == nil {
 		return Result{}, false
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	return r.cache.Get(key)
 }
 
@@ -495,15 +490,16 @@ func (r *Runner) countLookup(outcome string) {
 
 // lead simulates a job as the unique owner of its flight, publishing the
 // outcome to any coalesced waiters and to the cache.
-func (r *Runner) lead(ctx context.Context, key string, fl *flight, w workloads.Workload, job Job) (res Result, err error) {
+func (r *Runner) lead(ctx context.Context, key string, w workloads.Workload, job Job) (res Result, err error) {
 	defer func() {
-		fl.res, fl.err = res, err
 		r.mu.Lock()
-		delete(r.flights, key)
+		if err == nil && r.cache != nil {
+			r.cache.Add(key, res, 1)
+		}
+		r.flights.Finish(key, res, err)
 		delete(r.live, key)
 		delete(r.liveSites, key)
 		r.mu.Unlock()
-		close(fl.done)
 	}()
 
 	// The worker slot is acquired here, inside the worker's own goroutine,
@@ -601,10 +597,6 @@ func (r *Runner) lead(ctx context.Context, key string, fl *flight, w workloads.W
 		tsp.End()
 	}
 	xsp.Attr("instructions", strconv.FormatUint(st.Instructions, 10)).End()
-
-	if r.cache != nil {
-		r.cache.Put(key, res)
-	}
 	return res, nil
 }
 
@@ -735,8 +727,10 @@ func (r *Runner) Stats() Stats {
 		SampledIntervals: r.sampledIntervals.Load(),
 	}
 	if r.cache != nil {
+		r.mu.Lock()
 		s.CacheEntries = r.cache.Len()
-		s.CacheCapacity = r.cache.Cap()
+		r.mu.Unlock()
+		s.CacheCapacity = int(r.cache.Budget())
 	}
 	if r.tcache != nil {
 		ts := r.tcache.Stats()

@@ -116,23 +116,6 @@ func TestCacheDisabled(t *testing.T) {
 	}
 }
 
-func TestCacheLRUEviction(t *testing.T) {
-	c := NewLRU[int](2)
-	c.Put("a", 1)
-	c.Put("b", 2)
-	c.Get("a") // refresh a; b becomes LRU
-	c.Put("c", 3)
-	if _, ok := c.Get("b"); ok {
-		t.Error("b should have been evicted")
-	}
-	if v, ok := c.Get("a"); !ok || v != 1 {
-		t.Error("a should have survived")
-	}
-	if c.Len() != 2 {
-		t.Errorf("Len = %d, want 2", c.Len())
-	}
-}
-
 // TestCoalescing submits the same job concurrently on an idle pool and
 // checks only one simulation ran.
 func TestCoalescing(t *testing.T) {
@@ -157,6 +140,34 @@ func TestCoalescing(t *testing.T) {
 	}
 	if s := r.Stats(); s.SimsExecuted != 1 {
 		t.Errorf("SimsExecuted = %d, want 1 (rest cached or coalesced)", s.SimsExecuted)
+	}
+}
+
+// TestConcurrentSubmissionsSimulateOnce fires rounds of identical
+// submissions, one fresh key per round, so callers race the lead as it
+// publishes its result and retires its flight. A caller that misses the
+// cache must then find the flight or the result; every key simulates
+// exactly once.
+func TestConcurrentSubmissionsSimulateOnce(t *testing.T) {
+	r := New(Options{Workers: 2})
+	ctx := context.Background()
+	const rounds, callers = 300, 8
+	for i := 0; i < rounds; i++ {
+		job := testJob("perlbmk", 200+uint64(i))
+		var wg sync.WaitGroup
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, _, err := r.Run(ctx, job); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		if got := r.Stats().SimsExecuted; got != int64(i+1) {
+			t.Fatalf("round %d: SimsExecuted = %d, want %d (one per key)", i, got, i+1)
+		}
 	}
 }
 
@@ -269,12 +280,10 @@ func TestWaiterCancellationAccounting(t *testing.T) {
 		_, _, err := r.Run(leadCtx, job)
 		leadErr <- err
 	}()
-	key, _ := job.Key()
 	waitFor(t, func() bool {
 		r.mu.Lock()
 		defer r.mu.Unlock()
-		_, ok := r.flights[key]
-		return ok
+		return r.flights.Len() == 2 // the blocker's and the lead's
 	})
 
 	// Two waiters coalesce onto the lead's flight; cancel the first.

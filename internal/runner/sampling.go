@@ -376,9 +376,6 @@ func (r *Runner) runSampled(ctx context.Context, key string, w workloads.Workloa
 		res.Sites = merged
 	}
 	res.Sampled = &info
-	if r.cache != nil {
-		r.cache.Put(key, res)
-	}
 	return res, nil
 }
 

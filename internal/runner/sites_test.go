@@ -79,7 +79,7 @@ func TestSitesBypassSiteLessCacheEntries(t *testing.T) {
 	if stale.Sites != nil {
 		t.Fatal("plain engine unexpectedly produced a site profile")
 	}
-	r.cache.Put(key, stale)
+	r.cache.Add(key, stale, 1)
 
 	res, cached, err := r.RunResult(context.Background(), job)
 	if err != nil {
@@ -103,7 +103,7 @@ func TestSitesBypassSiteLessCacheEntries(t *testing.T) {
 	both := New(Options{Workers: 1,
 		Timeline: TimelineOptions{Enabled: true, IntervalInstrs: 500},
 		Sites:    SiteOptions{Enabled: true}})
-	both.cache.Put(key, res) // has sites, lacks a timeline
+	both.cache.Add(key, res, 1) // has sites, lacks a timeline
 	bres, cached, err := both.RunResult(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"time"
 
@@ -118,10 +117,6 @@ func (s *Server) handleMatrixCancel(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, r, http.StatusOK, map[string]any{"id": id, "cancelling": true})
 }
 
-// matrixStreamPoll is how often the SSE stream re-checks the event log.
-// Package variable so the streaming test can tighten it.
-var matrixStreamPoll = 50 * time.Millisecond
-
 // handleMatrixStream serves GET /v1/matrices/{id}/stream: a Server-Sent
 // Events tail of the matrix with the same discipline as the timeline
 // stream. Each completed shard arrives as an "event: shard" whose data
@@ -135,49 +130,16 @@ func (s *Server) handleMatrixStream(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, r, http.StatusNotFound, errorBody{Error: "unknown matrix id"})
 		return
 	}
-	flusher, canFlush := w.(http.Flusher)
-	if !canFlush {
-		s.writeJSON(w, r, http.StatusInternalServerError, errorBody{Error: "streaming unsupported by connection"})
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-
+	// A running matrix deliberately never goes terminal on shutdown (it
+	// stays resumable), so the stream relies on serveSSE ending at drain.
 	seq := 0
-	ticker := time.NewTicker(matrixStreamPoll)
-	defer ticker.Stop()
-	for {
+	s.serveSSE(w, r, func() ([]sseEvent, bool) {
 		events, terminal := m.EventsSince(seq)
-		for _, ev := range events {
-			data, err := json.Marshal(ev)
-			if err != nil {
-				return
-			}
-			if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, data); err != nil {
-				return
-			}
+		out := make([]sseEvent, len(events))
+		for i, ev := range events {
+			out[i] = sseEvent{ev.Type, ev}
 			seq = ev.Seq + 1
 		}
-		if len(events) > 0 {
-			flusher.Flush()
-		}
-		if terminal {
-			// The terminal event was just (or previously) delivered; the
-			// stream's work is done.
-			return
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		case <-s.shutdownCh:
-			// Daemon draining: a running matrix deliberately never goes
-			// terminal on shutdown (it stays resumable), so the stream must
-			// end itself or it stalls http.Server.Shutdown for the whole
-			// grace period. Clients reconnect and replay after restart.
-			return
-		case <-ticker.C:
-		}
-	}
+		return out, terminal
+	})
 }

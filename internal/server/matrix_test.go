@@ -100,9 +100,9 @@ func TestMatrixEndpointValidation(t *testing.T) {
 // The SSE endpoint must deliver one shard event per completed shard
 // (each carrying partial tables) and close with the terminal event.
 func TestMatrixStreamSSE(t *testing.T) {
-	oldPoll := matrixStreamPoll
-	matrixStreamPoll = 2 * time.Millisecond
-	t.Cleanup(func() { matrixStreamPoll = oldPoll })
+	oldPoll := streamPoll
+	streamPoll = 2 * time.Millisecond
+	t.Cleanup(func() { streamPoll = oldPoll })
 
 	_, ts := newTestServer(t)
 	acc := submitMatrix(t, ts.URL, map[string]any{
@@ -177,9 +177,9 @@ func TestMatrixStreamSSE(t *testing.T) {
 // terminal, so without this the connected client stalls shutdown for the
 // whole grace period.
 func TestMatrixStreamEndsOnShutdown(t *testing.T) {
-	oldPoll := matrixStreamPoll
-	matrixStreamPoll = 2 * time.Millisecond
-	t.Cleanup(func() { matrixStreamPoll = oldPoll })
+	oldPoll := streamPoll
+	streamPoll = 2 * time.Millisecond
+	t.Cleanup(func() { streamPoll = oldPoll })
 
 	s, ts := newTestServer(t)
 	// A wide sweep of full-size runs keeps the matrix in flight.

@@ -52,6 +52,7 @@ import (
 	"dlvp/internal/config"
 	"dlvp/internal/dispatch"
 	"dlvp/internal/experiments"
+	"dlvp/internal/lru"
 	"dlvp/internal/matrix"
 	"dlvp/internal/metrics"
 	"dlvp/internal/obs"
@@ -108,7 +109,8 @@ type Server struct {
 	defaultInstrs uint64
 	maxInstrs     uint64
 
-	artifacts      *runner.LRU[*experiments.Artifact]
+	artifactMu     sync.Mutex // guards artifacts; lru caches are caller-locked
+	artifacts      *lru.Cache[string, *experiments.Artifact]
 	artifactHits   atomic.Int64
 	artifactMisses atomic.Int64
 
@@ -164,7 +166,7 @@ func New(opts Options) *Server {
 		timeout:       opts.RequestTimeout,
 		defaultInstrs: opts.DefaultInstrs,
 		maxInstrs:     opts.MaxInstrs,
-		artifacts:     runner.NewLRU[*experiments.Artifact](opts.ArtifactCacheEntries),
+		artifacts:     lru.New[string, *experiments.Artifact](int64(opts.ArtifactCacheEntries)),
 		started:       time.Now(),
 		baseCtx:       ctx,
 		cancel:        cancel,
@@ -271,7 +273,7 @@ func (s *Server) registerStatsMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("dlvpd_runner_instrs_per_sec", "Aggregate simulated instructions per worker-second.",
 		func() float64 { return rs().InstrsPerSec })
 	reg.GaugeFunc("dlvpd_artifact_cache_entries", "Whole-artifact cache entries resident.",
-		func() float64 { return float64(s.artifacts.Len()) })
+		func() float64 { return float64(s.artifactEntries()) })
 	reg.CounterFunc("dlvpd_artifact_cache_hits", "Whole-artifact cache hits.",
 		func() float64 { return float64(s.artifactHits.Load()) })
 	reg.CounterFunc("dlvpd_artifact_cache_misses", "Whole-artifact cache misses.",
@@ -567,7 +569,10 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	eng := s.engineFor(r)
 	build := func(ctx context.Context) (*experiments.Artifact, bool, error) {
 		sp := obs.StartSpan(ctx, "artifact.build").Attr("experiment", id)
-		if a, ok := s.artifacts.Get(key); ok {
+		s.artifactMu.Lock()
+		a, ok := s.artifacts.Get(key)
+		s.artifactMu.Unlock()
+		if ok {
 			s.artifactHits.Add(1)
 			sp.Attr("cache", "hit").End()
 			return a, true, nil
@@ -585,7 +590,9 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, false, err
 		}
-		s.artifacts.Put(key, a)
+		s.artifactMu.Lock()
+		s.artifacts.Add(key, a, 1)
+		s.artifactMu.Unlock()
 		return a, false, nil
 	}
 
@@ -649,6 +656,12 @@ type JobStats struct {
 	Error   int `json:"error"`
 }
 
+func (s *Server) artifactEntries() int {
+	s.artifactMu.Lock()
+	defer s.artifactMu.Unlock()
+	return s.artifacts.Len()
+}
+
 func (s *Server) stats() ServerStats {
 	hits, misses := s.artifactHits.Load(), s.artifactMisses.Load()
 	ratio := 0.0
@@ -661,8 +674,8 @@ func (s *Server) stats() ServerStats {
 		Build:     ReadBuildInfo(),
 		Runner:    s.runner.Stats(),
 		Artifacts: ArtifactStats{
-			Entries:  s.artifacts.Len(),
-			Capacity: s.artifacts.Cap(),
+			Entries:  s.artifactEntries(),
+			Capacity: int(s.artifacts.Budget()),
 			Hits:     hits,
 			Misses:   misses,
 			HitRatio: ratio,
@@ -871,4 +884,63 @@ func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, status int, v
 	_ = enc.Encode(v)
 	s.encodeDur.Observe(time.Since(start).Seconds())
 	sp.End()
+}
+
+// streamPoll is how often an SSE stream re-polls its source. Package
+// variable so the streaming tests can tighten it.
+var streamPoll = 50 * time.Millisecond
+
+// sseEvent is one Server-Sent Event; a nil data payload is sent as {}.
+type sseEvent struct {
+	name string
+	data any
+}
+
+// serveSSE answers r with a Server-Sent Events stream. Every streamPoll it
+// calls poll for the events to write and whether the stream is finished.
+// The stream also ends when a write fails, the client goes away, or the
+// daemon begins draining: a stream that outlives shutdown would stall
+// http.Server.Shutdown for the whole grace period, and clients reconnect
+// and replay after a restart.
+func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, poll func() ([]sseEvent, bool)) {
+	flusher, canFlush := w.(http.Flusher)
+	if !canFlush {
+		s.writeJSON(w, r, http.StatusInternalServerError, errorBody{Error: "streaming unsupported by connection"})
+		return
+	}
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	w.WriteHeader(http.StatusOK)
+	flusher.Flush()
+
+	ticker := time.NewTicker(streamPoll)
+	defer ticker.Stop()
+	for {
+		events, finished := poll()
+		for _, ev := range events {
+			data := []byte("{}")
+			if ev.data != nil {
+				var err error
+				if data, err = json.Marshal(ev.data); err != nil {
+					return
+				}
+			}
+			if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.name, data); err != nil {
+				return
+			}
+		}
+		if len(events) > 0 {
+			flusher.Flush()
+		}
+		if finished {
+			return
+		}
+		select {
+		case <-r.Context().Done():
+			return
+		case <-s.shutdownCh:
+			return
+		case <-ticker.C:
+		}
+	}
 }

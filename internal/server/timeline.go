@@ -1,10 +1,8 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"time"
 
 	"dlvp/internal/timeline"
 )
@@ -66,10 +64,6 @@ func (s *Server) handleRunTimeline(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// timelineStreamPoll is how often the SSE stream re-snapshots the live
-// recorder. Package variable so the streaming test can tighten it.
-var timelineStreamPoll = 50 * time.Millisecond
-
 // handleRunTimelineStream serves GET /v1/runs/{id}/timeline/stream: a
 // Server-Sent Events tail of a run's flight recorder. Each interval sample
 // arrives as an "event: sample" with the Sample JSON in data; when
@@ -81,83 +75,46 @@ func (s *Server) handleRunTimelineStream(w http.ResponseWriter, r *http.Request)
 	if !ok {
 		return
 	}
-	flusher, canFlush := w.(http.Flusher)
-	if !canFlush {
-		s.writeJSON(w, r, http.StatusInternalServerError, errorBody{Error: "streaming unsupported by connection"})
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-
-	writeSample := func(sample timeline.Sample) bool {
-		data, err := json.Marshal(sample)
-		if err != nil {
-			return false
-		}
-		_, err = fmt.Fprintf(w, "event: sample\ndata: %s\n\n", data)
-		return err == nil
-	}
-	writeEvent := func(name string) {
-		fmt.Fprintf(w, "event: %s\ndata: {}\n\n", name)
-	}
-
 	sent := 0    // samples already delivered at the current generation
 	lastGen := 0 // downsampling generation of the delivered samples
-	ticker := time.NewTicker(timelineStreamPoll)
-	defer ticker.Stop()
-	for {
+	s.serveSSE(w, r, func() ([]sseEvent, bool) {
+		var events []sseEvent
+		send := func(samples []timeline.Sample) {
+			for ; sent < len(samples); sent++ {
+				events = append(events, sseEvent{"sample", samples[sent]})
+			}
+		}
 		if rec := s.runner.LiveTimeline(key); rec != nil {
 			samples, gen := rec.Snapshot()
 			if gen != lastGen {
 				// Downsampling merged neighbours: everything the client
 				// holds is stale; resend the rewritten history.
-				writeEvent("reset")
+				events = append(events, sseEvent{name: "reset"})
 				sent, lastGen = 0, gen
 			}
-			for ; sent < len(samples); sent++ {
-				if !writeSample(samples[sent]) {
-					return
-				}
-			}
-			flusher.Flush()
-		} else if res, ok := s.runner.CachedResult(key); ok && res.Timeline != nil {
+			send(samples)
+			return events, false
+		}
+		if res, ok := s.runner.CachedResult(key); ok && res.Timeline != nil {
 			// The run finished (or was already cached): deliver whatever the
 			// client has not seen and close. A finished timeline at a newer
 			// generation than the live samples we streamed starts over.
 			if res.Timeline.Merges != lastGen {
-				writeEvent("reset")
+				events = append(events, sseEvent{name: "reset"})
 				sent = 0
 			}
-			for ; sent < len(res.Timeline.Samples); sent++ {
-				if !writeSample(res.Timeline.Samples[sent]) {
-					return
-				}
-			}
-			writeEvent("done")
-			flusher.Flush()
-			return
-		} else if j, ok := s.jobs.get(r.PathValue("id")); ok && j.terminal() {
+			send(res.Timeline.Samples)
+			return append(events, sseEvent{name: "done"}), true
+		}
+		if j, ok := s.jobs.get(r.PathValue("id")); ok && j.terminal() {
 			// Terminal job with nothing live and nothing cached: either it
 			// failed, or the engine runs without a result cache. Close the
 			// stream rather than poll forever.
 			if j.currentStatus() == statusError {
-				writeEvent("error")
-			} else {
-				writeEvent("done")
+				return []sseEvent{{name: "error"}}, true
 			}
-			flusher.Flush()
-			return
+			return []sseEvent{{name: "done"}}, true
 		}
-		select {
-		case <-r.Context().Done():
-			return
-		case <-s.shutdownCh:
-			// Daemon draining: end the stream so http.Server.Shutdown is not
-			// blocked by a connected client until the grace period expires.
-			return
-		case <-ticker.C:
-		}
-	}
+		return nil, false
+	})
 }

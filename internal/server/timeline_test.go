@@ -126,9 +126,9 @@ func TestRunTimelineRejectsNonRunJobs(t *testing.T) {
 // The SSE endpoint must stream at least two interval samples from a live
 // job and terminate with a done event.
 func TestRunTimelineStreamSSE(t *testing.T) {
-	oldPoll := timelineStreamPoll
-	timelineStreamPoll = 2 * time.Millisecond
-	t.Cleanup(func() { timelineStreamPoll = oldPoll })
+	oldPoll := streamPoll
+	streamPoll = 2 * time.Millisecond
+	t.Cleanup(func() { streamPoll = oldPoll })
 
 	_, ts := newTimelineTestServer(t, 1_000)
 	// A long-enough run that the stream attaches while intervals are still

@@ -24,9 +24,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"sync/atomic"
+
+	"dlvp/internal/obs"
 )
 
 // Cause is the commit-time outcome classification of one eligible load.
@@ -633,33 +634,25 @@ func WritePrometheus(w io.Writer, p *Profile) {
 	if p.Overflow.Eligible > 0 {
 		rows = append(rows, row{"overflow", p.Overflow})
 	}
+	pw := obs.PromWriter{W: w}
 	for _, fam := range promCounters {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", fam.name, fam.help, fam.name)
+		pw.Family(fam.name, "counter", fam.help, "workload", "scheme", "pc")
 		for _, r := range rows {
-			fmt.Fprintf(w, "%s{workload=%q,scheme=%q,pc=%q} %d\n",
-				fam.name, p.Workload, p.Scheme, r.label, fam.value(r.c))
+			pw.Uint(fam.value(r.c), p.Workload, p.Scheme, r.label)
 		}
 	}
-	fmt.Fprintf(w, "# HELP dlvp_site_cause_total Committed loads at the site by attributed cause.\n# TYPE dlvp_site_cause_total counter\n")
+	pw.Family("dlvp_site_cause_total", "counter", "Committed loads at the site by attributed cause.",
+		"workload", "scheme", "pc", "cause")
 	for _, r := range rows {
 		for i, n := range r.c.Causes {
 			if n == 0 {
 				continue
 			}
-			fmt.Fprintf(w, "dlvp_site_cause_total{workload=%q,scheme=%q,pc=%q,cause=%q} %d\n",
-				p.Workload, p.Scheme, r.label, causeNames[i], n)
+			pw.Uint(n, p.Workload, p.Scheme, r.label, causeNames[i])
 		}
 	}
-	fmt.Fprintf(w, "# HELP dlvp_site_accuracy_pct Prediction accuracy at the site (percent).\n# TYPE dlvp_site_accuracy_pct gauge\n")
+	pw.Family("dlvp_site_accuracy_pct", "gauge", "Prediction accuracy at the site (percent).", "workload", "scheme", "pc")
 	for _, r := range rows {
-		fmt.Fprintf(w, "dlvp_site_accuracy_pct{workload=%q,scheme=%q,pc=%q} %s\n",
-			p.Workload, p.Scheme, r.label, formatFloat(r.c.Accuracy()))
+		pw.Float(r.c.Accuracy(), p.Workload, p.Scheme, r.label)
 	}
-}
-
-func formatFloat(v float64) string {
-	if math.IsNaN(v) {
-		return "NaN"
-	}
-	return fmt.Sprintf("%g", v)
 }

@@ -18,10 +18,11 @@
 package timeline
 
 import (
-	"fmt"
 	"io"
-	"math"
+	"strconv"
 	"sync"
+
+	"dlvp/internal/obs"
 )
 
 // DefaultIntervalInstrs is the sampling interval when a caller passes 0:
@@ -504,18 +505,11 @@ var promSeries = []struct {
 // the sample's starting instruction count so panels align on simulated
 // progress rather than array position.
 func WritePrometheus(w io.Writer, t *Timeline) {
+	pw := obs.PromWriter{W: w}
 	for _, series := range promSeries {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", series.name, series.help, series.name)
+		pw.Family(series.name, "gauge", series.help, "workload", "scheme", "interval", "start_instr")
 		for _, s := range t.Samples {
-			fmt.Fprintf(w, "%s{workload=%q,scheme=%q,interval=\"%d\",start_instr=\"%d\"} %s\n",
-				series.name, t.Workload, t.Scheme, s.Index, s.StartInstr, formatFloat(series.value(s)))
+			pw.Float(series.value(s), t.Workload, t.Scheme, strconv.Itoa(s.Index), strconv.FormatUint(s.StartInstr, 10))
 		}
 	}
-}
-
-func formatFloat(v float64) string {
-	if math.IsNaN(v) {
-		return "NaN"
-	}
-	return fmt.Sprintf("%g", v)
 }

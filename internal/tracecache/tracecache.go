@@ -35,6 +35,7 @@ import (
 	"sync/atomic"
 	"unsafe"
 
+	"dlvp/internal/lru"
 	"dlvp/internal/trace"
 )
 
@@ -71,10 +72,15 @@ type snapshot struct {
 	failed   bool // capture aborted; readers past recs must re-emulate
 }
 
-// entry is one (workload, instrs) stream, either mid-capture or complete.
+// key names one stream: the first instrs records of workload.
+type key struct {
+	workload string
+	instrs   uint64
+}
+
+// entry is one stream, either mid-capture or complete.
 type entry struct {
-	key    string
-	instrs uint64
+	key    key
 	source func() trace.Reader
 
 	snap atomic.Pointer[snapshot]
@@ -83,10 +89,6 @@ type entry struct {
 	// followers re-check the snapshot.
 	mu   sync.Mutex
 	wake chan struct{}
-
-	// LRU bookkeeping (guarded by the cache mutex); resident entries only.
-	prev, next *entry
-	resident   bool
 }
 
 func (e *entry) publish(s *snapshot) {
@@ -132,14 +134,14 @@ func (s Stats) HitRatio() float64 {
 type Cache struct {
 	budget int64
 
-	mu       sync.Mutex
-	entries  map[string]*entry // capturing + resident
-	lruHead  *entry            // most recent resident entry
-	lruTail  *entry            // least recent resident entry
-	resident int64
-	live     int64 // published bytes of in-flight captures
-	nRes     int
-	nLive    int
+	// resident holds complete captures costed in bytes; in-flight captures
+	// (live) share its budget, so Trim(live) evicts for both. Evicted
+	// streams stay valid for readers already holding their snapshot — the
+	// records are immutable and garbage-collected with the last reader.
+	mu        sync.Mutex
+	resident  *lru.Cache[key, *entry]
+	capturing map[key]*entry
+	live      int64 // published bytes of in-flight captures
 
 	captures        int64
 	capturesDone    int64
@@ -160,7 +162,7 @@ func New(budget int64) *Cache {
 	if budget < 0 {
 		budget = 0
 	}
-	return &Cache{budget: budget, entries: make(map[string]*entry)}
+	return &Cache{budget: budget, resident: lru.New[key, *entry](budget), capturing: make(map[key]*entry)}
 }
 
 // Budget reports the configured byte budget.
@@ -169,17 +171,6 @@ func (c *Cache) Budget() int64 {
 		return 0
 	}
 	return c.budget
-}
-
-// Key returns the cache key for a (workload, instrs) stream.
-func Key(workload string, instrs uint64) string {
-	// instrs is encoded in fixed width so keys never collide across the
-	// name/budget boundary.
-	var buf [8]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(instrs >> (8 * i))
-	}
-	return workload + "\x00" + string(buf[:])
 }
 
 // Reader returns a trace.Reader for the (workload, instrs) stream, a
@@ -218,26 +209,21 @@ func (c *Cache) Reader(workload string, instrs uint64, source func() trace.Reade
 		return source(), nop, OutcomeBypass
 	}
 
-	key := Key(workload, instrs)
+	k := key{workload, instrs}
 	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		snap := e.snap.Load()
-		if snap.complete {
-			c.replays++
-			if e.resident {
-				c.lruTouch(e)
-			}
-			c.mu.Unlock()
-			return &replayReader{c: c, e: e}, nop, OutcomeReplay
-		}
+	if e, ok := c.resident.Get(k); ok {
+		c.replays++
+		c.mu.Unlock()
+		return &replayReader{c: c, e: e}, nop, OutcomeReplay
+	}
+	if e, ok := c.capturing[k]; ok {
 		c.follows++
 		c.mu.Unlock()
 		return &replayReader{c: c, e: e}, nop, OutcomeFollow
 	}
-	e := &entry{key: key, instrs: instrs, source: source, wake: make(chan struct{})}
+	e := &entry{key: k, source: source, wake: make(chan struct{})}
 	e.snap.Store(&snapshot{})
-	c.entries[key] = e
-	c.nLive++
+	c.capturing[k] = e
 	c.captures++
 	c.emulations++
 	c.mu.Unlock()
@@ -255,10 +241,10 @@ func (c *Cache) Stats() Stats {
 	defer c.mu.Unlock()
 	return Stats{
 		BudgetBytes:     c.budget,
-		ResidentBytes:   c.resident,
+		ResidentBytes:   c.resident.Used(),
 		CapturingBytes:  c.live,
-		Entries:         c.nRes,
-		Capturing:       c.nLive,
+		Entries:         c.resident.Len(),
+		Capturing:       len(c.capturing),
 		Captures:        c.captures,
 		CapturesDone:    c.capturesDone,
 		CapturesAborted: c.capturesAborted,
@@ -269,57 +255,6 @@ func (c *Cache) Stats() Stats {
 		Evictions:       c.evictions,
 		TooLarge:        c.tooLarge,
 		Emulations:      c.emulations,
-	}
-}
-
-// --- intrusive LRU over resident entries (cache mutex held) -----------------
-
-func (c *Cache) lruPushFront(e *entry) {
-	e.prev, e.next = nil, c.lruHead
-	if c.lruHead != nil {
-		c.lruHead.prev = e
-	}
-	c.lruHead = e
-	if c.lruTail == nil {
-		c.lruTail = e
-	}
-}
-
-func (c *Cache) lruRemove(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else if c.lruHead == e {
-		c.lruHead = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else if c.lruTail == e {
-		c.lruTail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (c *Cache) lruTouch(e *entry) {
-	if c.lruHead == e {
-		return
-	}
-	c.lruRemove(e)
-	c.lruPushFront(e)
-}
-
-// evict drops least-recently-used resident entries until the resident and
-// in-flight bytes fit the budget, or nothing resident remains. Evicted
-// streams stay valid for readers already holding their snapshot — the
-// records are immutable and garbage-collected with the last reader.
-func (c *Cache) evict() {
-	for c.lruTail != nil && c.resident+c.live > c.budget {
-		victim := c.lruTail
-		c.lruRemove(victim)
-		victim.resident = false
-		delete(c.entries, victim.key)
-		c.resident -= int64(len(victim.snap.Load().recs)) * RecSize
-		c.nRes--
-		c.evictions++
 	}
 }
 
@@ -362,14 +297,13 @@ func (r *captureReader) publishChunk(final bool) {
 	c := r.c
 	c.mu.Lock()
 	c.live += delta
-	c.evict()
-	if c.resident+c.live > c.budget {
+	c.evictions += int64(c.resident.Trim(c.live))
+	if c.resident.Used()+c.live > c.budget {
 		// Another capture (or this one) outgrew the budget with nothing
 		// left to evict; fail this capture open rather than overshoot.
 		c.live -= int64(len(r.buf)) * RecSize
-		c.nLive--
 		c.capturesAborted++
-		delete(c.entries, r.e.key)
+		delete(c.capturing, r.e.key)
 		c.mu.Unlock()
 		r.bypassed, r.done = true, true
 		r.buf = nil
@@ -383,29 +317,24 @@ func (r *captureReader) publishChunk(final bool) {
 	}
 }
 
-// finish publishes the complete stream and moves the entry into the
-// resident LRU. The complete snapshot is published before the LRU insert
-// so eviction (which sizes victims by their snapshot) always sees final
-// byte counts.
+// finish moves the entry into the resident LRU, then publishes the
+// complete stream. A reader that finds the entry resident before the
+// publication replays it, parking until the final records appear.
 func (r *captureReader) finish() {
 	r.publishChunk(true)
 	if r.done { // aborted by the final budget check
 		return
 	}
 	r.done = true
-	r.e.publish(&snapshot{recs: r.buf, complete: true})
 	c := r.c
 	size := int64(len(r.buf)) * RecSize
 	c.mu.Lock()
 	c.live -= size
-	c.nLive--
-	c.resident += size
-	c.nRes++
+	delete(c.capturing, r.e.key)
 	c.capturesDone++
-	r.e.resident = true
-	c.lruPushFront(r.e)
-	c.evict()
+	c.evictions += int64(c.resident.Add(r.e.key, r.e, size) + c.resident.Trim(c.live))
 	c.mu.Unlock()
+	r.e.publish(&snapshot{recs: r.buf, complete: true})
 }
 
 // release aborts the capture if the stream was not fully consumed (the
@@ -419,9 +348,8 @@ func (r *captureReader) release() {
 	c := r.c
 	c.mu.Lock()
 	c.live -= int64(r.pub) * RecSize
-	c.nLive--
 	c.capturesAborted++
-	delete(c.entries, r.e.key)
+	delete(c.capturing, r.e.key)
 	c.mu.Unlock()
 	r.e.publish(&snapshot{recs: r.e.snap.Load().recs, failed: true})
 	r.buf = nil

@@ -335,19 +335,6 @@ func TestCaptureAbortsWhenBudgetExhausted(t *testing.T) {
 	}
 }
 
-func TestKeyEncoding(t *testing.T) {
-	keys := map[string]bool{}
-	for _, k := range []string{
-		Key("gcc", 1), Key("gcc", 256), Key("gcc", 1<<40),
-		Key("gc", 1), Key("gcc\x00", 1), Key("", 0),
-	} {
-		if keys[k] {
-			t.Fatalf("key collision for %q", k)
-		}
-		keys[k] = true
-	}
-}
-
 func TestNegativeBudgetIsDisabled(t *testing.T) {
 	c := New(-5)
 	src := &synthSource{seed: 41, n: 8}
