@@ -155,6 +155,12 @@ func usage() {
 
 // loadTimeline reads a timeline JSON file ("-" for stdin).
 func loadTimeline(path string) (*timeline.Timeline, error) {
+	return loadJSON[timeline.Timeline](path, "timeline")
+}
+
+// loadJSON decodes one JSON document of type T from path ("-" for stdin);
+// what names the document in decode errors.
+func loadJSON[T any](path, what string) (*T, error) {
 	f := os.Stdin
 	if path != "-" {
 		var err error
@@ -164,11 +170,11 @@ func loadTimeline(path string) (*timeline.Timeline, error) {
 		}
 		defer f.Close()
 	}
-	var tl timeline.Timeline
-	if err := json.NewDecoder(f).Decode(&tl); err != nil {
-		return nil, fmt.Errorf("%s: decode timeline: %w", path, err)
+	var v T
+	if err := json.NewDecoder(f).Decode(&v); err != nil {
+		return nil, fmt.Errorf("%s: decode %s: %w", path, what, err)
 	}
-	return &tl, nil
+	return &v, nil
 }
 
 // sparkMetrics are the headline series rendered as sparklines by show.

@@ -448,55 +448,7 @@ func (d *Dispatcher) call(ctx context.Context, bs *backendState, job runner.Job)
 // optional extra concurrency bound and progress callback. Experiment
 // matrices submitted to a clustered daemon fan out across the ring here.
 func (d *Dispatcher) RunAll(ctx context.Context, jobs []runner.Job, opt runner.Matrix) ([]metrics.RunStats, error) {
-	results := make([]metrics.RunStats, len(jobs))
-	var local chan struct{}
-	if opt.MaxParallel > 0 {
-		local = make(chan struct{}, opt.MaxParallel)
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		nDone    int
-	)
-	for i := range jobs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if local != nil {
-				select {
-				case local <- struct{}{}:
-					defer func() { <-local }()
-				case <-ctx.Done():
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = ctx.Err()
-					}
-					mu.Unlock()
-					return
-				}
-			}
-			st, _, err := d.Run(ctx, jobs[i])
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			results[i] = st
-			nDone++
-			if opt.Progress != nil {
-				opt.Progress(nDone, len(jobs))
-			}
-		}(i)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return results, err
-	}
-	return results, firstErr
+	return opt.Run(ctx, jobs, d.Run)
 }
 
 // BackendStatus is one ring member's state as reported by Status (and by

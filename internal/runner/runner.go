@@ -616,6 +616,14 @@ type Matrix struct {
 // completion order). On cancellation it returns ctx.Err(); the first
 // job-level error otherwise. Results of jobs that did not run are zero.
 func (r *Runner) RunAll(ctx context.Context, jobs []Job, opt Matrix) ([]metrics.RunStats, error) {
+	return opt.Run(ctx, jobs, r.Run)
+}
+
+// Run executes every job through run, one goroutine per job within
+// opt.MaxParallel, with RunAll's contract: results in submission order,
+// ctx.Err() on cancellation, else the first job-level error. The runner
+// and the dispatcher share it, each passing its own Run.
+func (opt Matrix) Run(ctx context.Context, jobs []Job, run func(context.Context, Job) (metrics.RunStats, bool, error)) ([]metrics.RunStats, error) {
 	results := make([]metrics.RunStats, len(jobs))
 	var local chan struct{}
 	if opt.MaxParallel > 0 {
@@ -644,7 +652,7 @@ func (r *Runner) RunAll(ctx context.Context, jobs []Job, opt Matrix) ([]metrics.
 					return
 				}
 			}
-			st, _, err := r.Run(ctx, jobs[i])
+			st, _, err := run(ctx, jobs[i])
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
