@@ -201,7 +201,7 @@ func newInstruments(o *obs.Observer) *instruments {
 // existing family).
 func registerTraceCacheMetrics(reg *obs.Registry, tc *tracecache.Cache) {
 	reg.GaugeFunc("dlvpd_tracecache_bytes_resident",
-		"Bytes of captured trace records resident in the trace cache (complete and in-flight).",
+		"Bytes of trace records held by the trace cache (complete captures plus reservations in flight).",
 		func() float64 { s := tc.Stats(); return float64(s.ResidentBytes + s.CapturingBytes) })
 	reg.GaugeFunc("dlvpd_tracecache_entries",
 		"Complete trace captures resident in the trace cache.",
@@ -216,7 +216,7 @@ func registerTraceCacheMetrics(reg *obs.Registry, tc *tracecache.Cache) {
 		"Complete captures evicted to respect the byte budget.",
 		func() float64 { return float64(tc.Stats().Evictions) })
 	reg.CounterFunc("dlvpd_tracecache_emulations_total",
-		"Live emulator streams constructed (captures, bypasses and fallbacks).",
+		"Live emulator streams constructed (captures and bypasses).",
 		func() float64 { return float64(tc.Stats().Emulations) })
 }
 
@@ -534,9 +534,10 @@ func (r *Runner) lead(ctx context.Context, key string, w workloads.Workload, job
 
 	// The trace cache, when configured, replaces the per-job functional
 	// emulation with a capture-once/replay-many stream: the first job over
-	// a (workload, instrs) records the emulator's output, every other job
-	// replays (or tails) it. Outcomes are surfaced as runner.capture /
-	// runner.replay spans plus dedicated duration histograms. The live
+	// a (workload, instrs) emulates and records the whole stream before it
+	// simulates, every other job replays the recording (waiting for it if
+	// the capture is in flight). The outcome is the runner.execute span's
+	// trace attribute and picks a dedicated duration histogram. The live
 	// emulation behind a capture additionally deposits architectural
 	// checkpoints into the engine's store as it streams — checkpoint
 	// capture rides the trace cache's single-flight guarantee, so a full
@@ -544,19 +545,13 @@ func (r *Runner) lead(ctx context.Context, key string, w workloads.Workload, job
 	reader := trace.Reader(nil)
 	outcome := tracecache.OutcomeBypass
 	if r.tcache != nil {
-		var release func()
-		reader, release, outcome = r.tcache.Reader(job.Workload, job.Instrs,
+		reader, _, outcome = r.tcache.Reader(job.Workload, job.Instrs,
 			func() trace.Reader { return r.ckpt.Capture(w.CPU(job.Instrs), job.Workload, 0) })
-		defer release()
 	} else {
 		reader = w.Reader(job.Instrs)
 	}
-	var tsp *obs.ActiveSpan
-	switch outcome {
-	case tracecache.OutcomeCapture:
-		tsp = obs.StartSpan(ctx, "runner.capture").Attr("workload", job.Workload)
-	case tracecache.OutcomeReplay, tracecache.OutcomeFollow:
-		tsp = obs.StartSpan(ctx, "runner.replay").Attr("workload", job.Workload)
+	xsp.Attr("trace", string(outcome))
+	if outcome == tracecache.OutcomeReplay || outcome == tracecache.OutcomeFollow {
 		r.countLookup("trace_cache")
 	}
 
@@ -592,9 +587,6 @@ func (r *Runner) lead(ctx context.Context, key string, w workloads.Workload, job
 		case tracecache.OutcomeReplay, tracecache.OutcomeFollow:
 			r.inst.replayDur.Observe(elapsed.Seconds())
 		}
-	}
-	if tsp != nil {
-		tsp.End()
 	}
 	xsp.Attr("instructions", strconv.FormatUint(st.Instructions, 10)).End()
 	return res, nil

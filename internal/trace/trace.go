@@ -79,7 +79,8 @@ type RandomAccess interface {
 	NumRecs() uint64
 }
 
-// SliceReader adapts a pre-recorded []Rec into a Reader; used by tests.
+// SliceReader adapts a pre-recorded []Rec into a Reader. The trace cache
+// serves every captured stream through one, and tests build them directly.
 type SliceReader struct {
 	Recs []Rec
 	pos  int

@@ -9,30 +9,33 @@
 // records it once and replays the buffered records to every other
 // configuration:
 //
-//   - the first reader for a key becomes the capture *lead*: it streams
-//     from the live emulator while appending each trace.Rec (a fixed-size
-//     value struct — cheap to copy) into an in-memory buffer;
-//   - concurrent readers for the same key *follow* the capture
-//     (single-flight: one emulation no matter how many configurations ask
-//     at once), tailing the published prefix lock-free and parking only
-//     when they catch up to the lead;
-//   - once a capture completes, later readers get a pure replay of the
-//     buffered records with zero re-emulation;
-//   - a capture that is abandoned (its simulation stopped early) or that
-//     runs out of budget fails open: followers transparently fall back to
-//     a fresh emulator, skipping the records they already consumed, so a
-//     reader always observes the exact stream the live emulator would have
-//     produced.
+//   - the first reader for a key becomes the capture *lead*: it reserves
+//     the stream's bytes against the budget, emulates the whole stream
+//     into one []trace.Rec (a fixed-size value struct), adds it to the
+//     resident LRU and only then returns;
+//   - concurrent readers for the same key *follow*: they join the lead's
+//     lru.Group flight (one emulation no matter how many configurations
+//     ask at once) and wait for the finished slice;
+//   - once a capture completes, later readers *replay* it with zero
+//     re-emulation.
+//
+// Emulation runs several times faster than the timing core, so emulating
+// first costs a simulation little. Every cached reader is a
+// trace.SliceReader over the shared, immutable slice, which the timing
+// core serves zero-copy through trace.RandomAccess.
 //
 // The byte budget bounds resident memory: complete captures live in an LRU
-// keyed by bytes, in-flight captures count against the same budget, and a
-// stream whose upper bound (instrs × record size) cannot fit is bypassed
-// to live emulation without buffering.
+// keyed by bytes, and a capture reserves instrs × RecSize of the same
+// budget before it emulates. A stream whose reservation cannot fit — too
+// large for the budget, or crowded out by captures already in flight — is
+// bypassed to live emulation without buffering. If a lead's source panics
+// its flight still finishes, and its followers emulate live instead.
 package tracecache
 
 import (
+	"context"
+	"errors"
 	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"dlvp/internal/lru"
@@ -43,34 +46,24 @@ import (
 // budget is accounted in these units.
 const RecSize = int64(unsafe.Sizeof(trace.Rec{}))
 
-// publishChunk is how many records the capture lead appends between
-// visibility publications. Followers lag the lead by at most this many
-// records; the lead pays one atomic store and one channel close per chunk.
-const publishChunk = 4096
-
 // Outcome classifies how a Reader call was served.
 type Outcome string
 
 const (
-	// OutcomeCapture: this reader is the lead recording a live emulation.
+	// OutcomeCapture: this reader's call emulated and recorded the stream.
 	OutcomeCapture Outcome = "capture"
 	// OutcomeReplay: served entirely from a completed capture.
 	OutcomeReplay Outcome = "replay"
-	// OutcomeFollow: tailing a capture another reader is recording.
+	// OutcomeFollow: served from a capture another reader was recording.
 	OutcomeFollow Outcome = "follow"
 	// OutcomeBypass: served by live emulation without recording (cache
-	// disabled, zero budget, or the stream cannot fit the budget).
+	// disabled, zero budget, the stream cannot be reserved, or the capture
+	// it waited on failed).
 	OutcomeBypass Outcome = "bypass"
 )
 
-// snapshot is the immutable published view of one capture. Records
-// [0, len(recs)) are final and safe to read concurrently; the lead appends
-// beyond len into the same backing array before publishing the next view.
-type snapshot struct {
-	recs     []trace.Rec
-	complete bool // stream ended; recs is the whole trace
-	failed   bool // capture aborted; readers past recs must re-emulate
-}
+// errCaptureFailed finishes a flight that retained no capture.
+var errCaptureFailed = errors.New("tracecache: capture failed")
 
 // key names one stream: the first instrs records of workload.
 type key struct {
@@ -78,44 +71,21 @@ type key struct {
 	instrs   uint64
 }
 
-// entry is one stream, either mid-capture or complete.
-type entry struct {
-	key    key
-	source func() trace.Reader
-
-	snap atomic.Pointer[snapshot]
-
-	// wake is closed and replaced after every publication so parked
-	// followers re-check the snapshot.
-	mu   sync.Mutex
-	wake chan struct{}
-}
-
-func (e *entry) publish(s *snapshot) {
-	e.snap.Store(s)
-	e.mu.Lock()
-	close(e.wake)
-	e.wake = make(chan struct{})
-	e.mu.Unlock()
-}
-
 // Stats is a snapshot of the cache counters.
 type Stats struct {
-	BudgetBytes     int64 `json:"budget_bytes"`
-	ResidentBytes   int64 `json:"resident_bytes"`  // complete captures held
-	CapturingBytes  int64 `json:"capturing_bytes"` // published bytes of live captures
-	Entries         int   `json:"entries"`         // complete captures resident
-	Capturing       int   `json:"capturing"`       // captures in flight now
-	Captures        int64 `json:"captures"`        // capture leads started
-	CapturesDone    int64 `json:"captures_done"`   // captures that completed and were retained
-	CapturesAborted int64 `json:"captures_aborted"`
-	Replays         int64 `json:"replays"` // readers served from a complete capture
-	Follows         int64 `json:"follows"` // readers that tailed a live capture
-	Bypasses        int64 `json:"bypasses"`
-	Fallbacks       int64 `json:"fallbacks"` // followers that resumed on a live emulator
-	Evictions       int64 `json:"evictions"`
-	TooLarge        int64 `json:"too_large"`  // streams whose bound exceeds the budget
-	Emulations      int64 `json:"emulations"` // live emulator streams constructed
+	BudgetBytes    int64 `json:"budget_bytes"`
+	ResidentBytes  int64 `json:"resident_bytes"`  // complete captures held
+	CapturingBytes int64 `json:"capturing_bytes"` // bytes reserved by captures in flight
+	Entries        int   `json:"entries"`         // complete captures resident
+	Capturing      int   `json:"capturing"`       // captures in flight now
+	Captures       int64 `json:"captures"`        // capture leads started
+	CapturesDone   int64 `json:"captures_done"`   // captures that completed and were retained
+	Replays        int64 `json:"replays"`         // readers served from a complete capture
+	Follows        int64 `json:"follows"`         // readers that joined a capture in flight
+	Bypasses       int64 `json:"bypasses"`
+	Evictions      int64 `json:"evictions"`
+	TooLarge       int64 `json:"too_large"`  // streams whose bound exceeds the budget
+	Emulations     int64 `json:"emulations"` // live emulator streams constructed
 }
 
 // HitRatio returns the fraction of readers served without starting a new
@@ -134,25 +104,24 @@ func (s Stats) HitRatio() float64 {
 type Cache struct {
 	budget int64
 
-	// resident holds complete captures costed in bytes; in-flight captures
-	// (live) share its budget, so Trim(live) evicts for both. Evicted
-	// streams stay valid for readers already holding their snapshot — the
-	// records are immutable and garbage-collected with the last reader.
-	mu        sync.Mutex
-	resident  *lru.Cache[key, *entry]
-	capturing map[key]*entry
-	live      int64 // published bytes of in-flight captures
+	// resident holds complete captures costed in bytes; the reservations
+	// of captures in flight (live) share its budget, so Trim(live) evicts
+	// for both. Evicted slices stay valid for readers already replaying
+	// them — the records are immutable and garbage-collected with the
+	// last reader.
+	mu       sync.Mutex
+	resident *lru.Cache[key, []trace.Rec]
+	flights  lru.Group[key, []trace.Rec]
+	live     int64 // bytes reserved by captures in flight
 
-	captures        int64
-	capturesDone    int64
-	capturesAborted int64
-	replays         int64
-	follows         int64
-	bypasses        int64
-	fallbacks       int64
-	evictions       int64
-	tooLarge        int64
-	emulations      int64
+	captures     int64
+	capturesDone int64
+	replays      int64
+	follows      int64
+	bypasses     int64
+	evictions    int64
+	tooLarge     int64
+	emulations   int64
 }
 
 // New returns a cache retaining up to budget bytes of trace records.
@@ -162,7 +131,7 @@ func New(budget int64) *Cache {
 	if budget < 0 {
 		budget = 0
 	}
-	return &Cache{budget: budget, resident: lru.New[key, *entry](budget), capturing: make(map[key]*entry)}
+	return &Cache{budget: budget, resident: lru.New[key, []trace.Rec](budget)}
 }
 
 // Budget reports the configured byte budget.
@@ -174,62 +143,96 @@ func (c *Cache) Budget() int64 {
 }
 
 // Reader returns a trace.Reader for the (workload, instrs) stream, a
-// release function the caller must invoke once it is done with the reader,
-// and the outcome describing how the stream is served. source constructs a
-// fresh live emulation stream; the cache calls it for capture leads,
-// bypasses, and fallbacks only.
+// release function (a no-op, kept for callers), and the outcome describing
+// how the stream is served. source constructs a fresh live emulation
+// stream; the cache calls it for capture leads and bypasses only.
 //
 // The returned reader produces exactly the records source() would,
-// regardless of outcome. Reader never blocks; a follower parks inside Next
-// only while the lead is still producing, and wakes to a transparent live
-// fallback if the lead abandons its capture.
+// regardless of outcome. A lead returns once it has emulated the whole
+// stream, a follower once its lead has; other calls return at once.
 func (c *Cache) Reader(workload string, instrs uint64, source func() trace.Reader) (trace.Reader, func(), Outcome) {
 	nop := func() {}
-	if c == nil || c.budget == 0 {
-		if c != nil {
-			c.mu.Lock()
-			c.bypasses++
-			c.emulations++
-			c.mu.Unlock()
-		}
+	if c == nil {
 		return source(), nop, OutcomeBypass
 	}
 	// An unbounded stream (instrs == 0) or one whose upper bound cannot
 	// fit is never buffered. The bound is conservative: a program that
 	// halts early would have fit, but workload kernels run forever and
 	// always fill their budget.
+	size := int64(instrs) * RecSize
+	k := key{workload, instrs}
+	c.mu.Lock()
 	if instrs == 0 || int64(instrs) > c.budget/RecSize {
-		c.mu.Lock()
-		c.bypasses++
-		c.emulations++
-		if instrs != 0 {
+		if instrs != 0 && c.budget != 0 {
 			c.tooLarge++
 		}
+		return c.bypass(source), nop, OutcomeBypass
+	}
+	if recs, ok := c.resident.Get(k); ok {
+		c.replays++
+		c.mu.Unlock()
+		return &trace.SliceReader{Recs: recs}, nop, OutcomeReplay
+	}
+	f, lead := c.flights.Lead(k)
+	if !lead {
+		c.follows++
+		c.mu.Unlock()
+		if recs, err := f.Join(context.Background()); err == nil {
+			return &trace.SliceReader{Recs: recs}, nop, OutcomeFollow
+		}
+		c.mu.Lock()
+		c.emulations++ // the lead failed: this follower emulates live
 		c.mu.Unlock()
 		return source(), nop, OutcomeBypass
 	}
-
-	k := key{workload, instrs}
-	c.mu.Lock()
-	if e, ok := c.resident.Get(k); ok {
-		c.replays++
-		c.mu.Unlock()
-		return &replayReader{c: c, e: e}, nop, OutcomeReplay
+	// Reserve the stream's bytes, evicting resident captures for room. If
+	// the captures in flight leave too little even with nothing resident,
+	// stream this one live rather than overshoot.
+	if c.live+size > c.budget {
+		c.flights.Finish(k, nil, errCaptureFailed) // no waiter can have joined under c.mu
+		return c.bypass(source), nop, OutcomeBypass
 	}
-	if e, ok := c.capturing[k]; ok {
-		c.follows++
-		c.mu.Unlock()
-		return &replayReader{c: c, e: e}, nop, OutcomeFollow
-	}
-	e := &entry{key: k, source: source, wake: make(chan struct{})}
-	e.snap.Store(&snapshot{})
-	c.capturing[k] = e
+	c.live += size
+	c.evictions += int64(c.resident.Trim(c.live))
 	c.captures++
 	c.emulations++
 	c.mu.Unlock()
+	return &trace.SliceReader{Recs: c.capture(k, size, source)}, nop, OutcomeCapture
+}
 
-	cap := &captureReader{c: c, e: e, inner: source(), buf: make([]trace.Rec, 0, instrs)}
-	return cap, cap.release, OutcomeCapture
+// bypass counts a live, unrecorded stream and starts it. The caller holds
+// c.mu; bypass releases it before calling source.
+func (c *Cache) bypass(source func() trace.Reader) trace.Reader {
+	c.bypasses++
+	c.emulations++
+	c.mu.Unlock()
+	return source()
+}
+
+// capture drains source into one slice, retains it and hands it to the
+// flight's followers. The flight finishes in a defer, so a panicking
+// source still releases its reservation and its waiters.
+func (c *Cache) capture(k key, size int64, source func() trace.Reader) []trace.Rec {
+	var recs []trace.Rec
+	err := errCaptureFailed
+	defer func() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		c.live -= size
+		if err == nil {
+			c.capturesDone++
+			c.evictions += int64(c.resident.Add(k, recs, int64(len(recs))*RecSize) + c.resident.Trim(c.live))
+		}
+		c.flights.Finish(k, recs, err)
+	}()
+	recs = make([]trace.Rec, 0, k.instrs)
+	r := source()
+	var rec trace.Rec
+	for r.Next(&rec) {
+		recs = append(recs, rec)
+	}
+	err = nil
+	return recs
 }
 
 // Stats snapshots the cache counters.
@@ -240,179 +243,18 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
-		BudgetBytes:     c.budget,
-		ResidentBytes:   c.resident.Used(),
-		CapturingBytes:  c.live,
-		Entries:         c.resident.Len(),
-		Capturing:       len(c.capturing),
-		Captures:        c.captures,
-		CapturesDone:    c.capturesDone,
-		CapturesAborted: c.capturesAborted,
-		Replays:         c.replays,
-		Follows:         c.follows,
-		Bypasses:        c.bypasses,
-		Fallbacks:       c.fallbacks,
-		Evictions:       c.evictions,
-		TooLarge:        c.tooLarge,
-		Emulations:      c.emulations,
-	}
-}
-
-// --- capture (lead) ----------------------------------------------------------
-
-// captureReader streams from the live emulator, buffering every record and
-// periodically publishing the prefix to followers.
-type captureReader struct {
-	c        *Cache
-	e        *entry
-	inner    trace.Reader
-	buf      []trace.Rec
-	pub      int  // records already published
-	done     bool // completed or aborted
-	bypassed bool // budget pressure: stop buffering, keep streaming
-}
-
-func (r *captureReader) Next(rec *trace.Rec) bool {
-	if !r.inner.Next(rec) {
-		if !r.done {
-			r.finish()
-		}
-		return false
-	}
-	if !r.bypassed {
-		r.buf = append(r.buf, *rec)
-		if len(r.buf)-r.pub >= publishChunk {
-			r.publishChunk(false)
-		}
-	}
-	return true
-}
-
-// publishChunk makes the buffered prefix visible and charges it against
-// the budget, evicting resident entries under pressure. If the in-flight
-// captures alone exceed the budget, this capture aborts (streaming
-// continues uncached; followers fall back).
-func (r *captureReader) publishChunk(final bool) {
-	delta := int64(len(r.buf)-r.pub) * RecSize
-	c := r.c
-	c.mu.Lock()
-	c.live += delta
-	c.evictions += int64(c.resident.Trim(c.live))
-	if c.resident.Used()+c.live > c.budget {
-		// Another capture (or this one) outgrew the budget with nothing
-		// left to evict; fail this capture open rather than overshoot.
-		c.live -= int64(len(r.buf)) * RecSize
-		c.capturesAborted++
-		delete(c.capturing, r.e.key)
-		c.mu.Unlock()
-		r.bypassed, r.done = true, true
-		r.buf = nil
-		r.e.publish(&snapshot{recs: r.e.snap.Load().recs, failed: true})
-		return
-	}
-	c.mu.Unlock()
-	r.pub = len(r.buf)
-	if !final {
-		r.e.publish(&snapshot{recs: r.buf[:r.pub]})
-	}
-}
-
-// finish moves the entry into the resident LRU, then publishes the
-// complete stream. A reader that finds the entry resident before the
-// publication replays it, parking until the final records appear.
-func (r *captureReader) finish() {
-	r.publishChunk(true)
-	if r.done { // aborted by the final budget check
-		return
-	}
-	r.done = true
-	c := r.c
-	size := int64(len(r.buf)) * RecSize
-	c.mu.Lock()
-	c.live -= size
-	delete(c.capturing, r.e.key)
-	c.capturesDone++
-	c.evictions += int64(c.resident.Add(r.e.key, r.e, size) + c.resident.Trim(c.live))
-	c.mu.Unlock()
-	r.e.publish(&snapshot{recs: r.buf, complete: true})
-}
-
-// release aborts the capture if the stream was not fully consumed (the
-// simulation stopped early or panicked); followers fall back to live
-// emulation. Safe to call after normal completion, where it is a no-op.
-func (r *captureReader) release() {
-	if r.done {
-		return
-	}
-	r.done, r.bypassed = true, true
-	c := r.c
-	c.mu.Lock()
-	c.live -= int64(r.pub) * RecSize
-	c.capturesAborted++
-	delete(c.capturing, r.e.key)
-	c.mu.Unlock()
-	r.e.publish(&snapshot{recs: r.e.snap.Load().recs, failed: true})
-	r.buf = nil
-}
-
-// --- replay / follow ---------------------------------------------------------
-
-// replayReader streams a captured entry: lock-free over the published
-// prefix, parking only when it catches up to a live capture, and falling
-// back to a fresh emulator if the capture fails.
-type replayReader struct {
-	c        *Cache
-	e        *entry
-	pos      int
-	fallback trace.Reader
-}
-
-func (r *replayReader) Next(rec *trace.Rec) bool {
-	if r.fallback != nil {
-		return r.fallback.Next(rec)
-	}
-	for {
-		snap := r.e.snap.Load()
-		if r.pos < len(snap.recs) {
-			*rec = snap.recs[r.pos]
-			r.pos++
-			return true
-		}
-		if snap.complete {
-			return false
-		}
-		if snap.failed {
-			r.startFallback()
-			return r.fallback.Next(rec)
-		}
-		// Caught up with the lead: grab the wake channel, then re-check
-		// the snapshot so a publication between load and grab is never
-		// missed (the publisher stores the snapshot before closing wake).
-		r.e.mu.Lock()
-		ch := r.e.wake
-		r.e.mu.Unlock()
-		if r.e.snap.Load() != snap {
-			continue
-		}
-		<-ch
-	}
-}
-
-// startFallback resumes the stream on a fresh live emulator, discarding
-// the records this reader already delivered. The emulator is
-// deterministic, so the resumed stream continues exactly where the
-// published prefix ended.
-func (r *replayReader) startFallback() {
-	c := r.c
-	c.mu.Lock()
-	c.fallbacks++
-	c.emulations++
-	c.mu.Unlock()
-	r.fallback = r.e.source()
-	var skip trace.Rec
-	for i := 0; i < r.pos; i++ {
-		if !r.fallback.Next(&skip) {
-			break
-		}
+		BudgetBytes:    c.budget,
+		ResidentBytes:  c.resident.Used(),
+		CapturingBytes: c.live,
+		Entries:        c.resident.Len(),
+		Capturing:      c.flights.Len(),
+		Captures:       c.captures,
+		CapturesDone:   c.capturesDone,
+		Replays:        c.replays,
+		Follows:        c.follows,
+		Bypasses:       c.bypasses,
+		Evictions:      c.evictions,
+		TooLarge:       c.tooLarge,
+		Emulations:     c.emulations,
 	}
 }

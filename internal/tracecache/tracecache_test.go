@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dlvp/internal/trace"
 )
@@ -11,15 +12,25 @@ import (
 // synthSource is a deterministic record stream: every reader constructed
 // from the same (seed, n) produces the same n records. It counts reader
 // constructions so tests can assert single-flight behaviour.
+//
+// When gate is set, the first reader constructed blocks before its first
+// record until gate is closed, holding its capture in flight; with
+// panicAt > 0 that reader then panics after panicAt records. Later readers
+// stream normally.
 type synthSource struct {
-	seed  uint64
-	n     uint64
-	built atomic.Int64
+	seed    uint64
+	n       uint64
+	gate    chan struct{}
+	panicAt uint64
+	built   atomic.Int64
 }
 
 func (s *synthSource) reader() trace.Reader {
-	s.built.Add(1)
-	return &synthReader{seed: s.seed, n: s.n}
+	r := &synthReader{seed: s.seed, n: s.n}
+	if s.built.Add(1) == 1 {
+		r.gate, r.panicAt = s.gate, s.panicAt
+	}
+	return r
 }
 
 func (s *synthSource) expected() []trace.Rec {
@@ -28,9 +39,18 @@ func (s *synthSource) expected() []trace.Rec {
 
 type synthReader struct {
 	seed, i, n uint64
+	gate       chan struct{}
+	panicAt    uint64
 }
 
 func (r *synthReader) Next(rec *trace.Rec) bool {
+	if r.gate != nil {
+		<-r.gate
+		r.gate = nil
+	}
+	if r.panicAt > 0 && r.i == r.panicAt {
+		panic("synthetic emulator fault")
+	}
 	if r.i >= r.n {
 		return false
 	}
@@ -56,30 +76,75 @@ func sameRecs(t *testing.T, got, want []trace.Rec) {
 	}
 }
 
+// served is one Reader call's result, collected off the calling goroutine.
+type served struct {
+	recs     []trace.Rec
+	outcome  Outcome
+	random   bool // the reader implements trace.RandomAccess
+	panicked bool
+}
+
+// readAsync runs Reader on its own goroutine and drains the stream.
+func readAsync(c *Cache, workload string, src *synthSource) <-chan served {
+	ch := make(chan served, 1)
+	go func() {
+		var s served
+		defer func() {
+			s.panicked = recover() != nil
+			ch <- s
+		}()
+		r, release, out := c.Reader(workload, src.n, src.reader)
+		defer release()
+		_, s.random = r.(trace.RandomAccess)
+		s.outcome = out
+		s.recs = trace.Collect(r, 0)
+	}()
+	return ch
+}
+
+// waitFor polls cond until it holds, failing the test after ten seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// A capture serves its lead, the follower that joined it in flight, and a
+// later replay the same stream, each through a random-access reader the
+// timing core can serve zero-copy, from one emulation.
 func TestCaptureThenReplay(t *testing.T) {
-	src := &synthSource{seed: 7, n: 2*publishChunk + 123}
+	src := &synthSource{seed: 7, n: 8315, gate: make(chan struct{})}
 	c := New(64 << 20)
 
-	r1, rel1, out1 := c.Reader("w", src.n, src.reader)
-	if out1 != OutcomeCapture {
-		t.Fatalf("first reader outcome %q, want capture", out1)
-	}
-	sameRecs(t, trace.Collect(r1, 0), src.expected())
-	rel1()
+	lead := readAsync(c, "w", src)
+	waitFor(t, "the capture to start", func() bool { return c.Stats().Capturing == 1 })
+	follower := readAsync(c, "w", src)
+	waitFor(t, "the follower to join", func() bool { return c.Stats().Follows == 1 })
+	close(src.gate)
 
-	r2, rel2, out2 := c.Reader("w", src.n, src.reader)
-	if out2 != OutcomeReplay {
-		t.Fatalf("second reader outcome %q, want replay", out2)
+	check := func(got served, want Outcome) {
+		t.Helper()
+		if got.outcome != want {
+			t.Fatalf("outcome %q, want %q", got.outcome, want)
+		}
+		if !got.random {
+			t.Errorf("%s reader does not implement trace.RandomAccess", want)
+		}
+		sameRecs(t, got.recs, src.expected())
 	}
-	sameRecs(t, trace.Collect(r2, 0), src.expected())
-	rel2()
+	check(<-lead, OutcomeCapture)
+	check(<-follower, OutcomeFollow)
+	check(<-readAsync(c, "w", src), OutcomeReplay)
 
 	if got := src.built.Load(); got != 1 {
 		t.Errorf("source constructed %d times, want 1", got)
 	}
 	s := c.Stats()
-	if s.Captures != 1 || s.CapturesDone != 1 || s.Replays != 1 || s.Emulations != 1 {
-		t.Errorf("stats %+v: want 1 capture, 1 done, 1 replay, 1 emulation", s)
+	if s.Captures != 1 || s.CapturesDone != 1 || s.Follows != 1 || s.Replays != 1 || s.Emulations != 1 {
+		t.Errorf("stats %+v: want 1 capture, 1 done, 1 follow, 1 replay, 1 emulation", s)
 	}
 	if want := int64(src.n) * RecSize; s.ResidentBytes != want || s.Entries != 1 {
 		t.Errorf("resident %d bytes / %d entries, want %d / 1", s.ResidentBytes, s.Entries, want)
@@ -87,93 +152,15 @@ func TestCaptureThenReplay(t *testing.T) {
 	if s.CapturingBytes != 0 || s.Capturing != 0 {
 		t.Errorf("in-flight accounting not drained: %+v", s)
 	}
-	if hr := s.HitRatio(); hr != 0.5 {
-		t.Errorf("hit ratio %v, want 0.5 (1 replay of 2 readers)", hr)
+	if hr := s.HitRatio(); hr != 2.0/3 {
+		t.Errorf("hit ratio %v, want 2/3 (1 follow + 1 replay of 3 readers)", hr)
 	}
 }
 
-// A reader released before draining its stream must abort the capture and
-// leave nothing resident; the next reader re-captures from scratch.
-func TestAbandonedCaptureAborts(t *testing.T) {
-	src := &synthSource{seed: 11, n: publishChunk * 2}
-	c := New(64 << 20)
-
-	r, release, _ := c.Reader("w", src.n, src.reader)
-	var rec trace.Rec
-	for i := 0; i < publishChunk+5; i++ {
-		if !r.Next(&rec) {
-			t.Fatal("stream ended early")
-		}
-	}
-	release()
-	release() // idempotent
-
-	s := c.Stats()
-	if s.CapturesAborted != 1 || s.CapturesDone != 0 || s.Entries != 0 {
-		t.Fatalf("after abort: %+v, want 1 aborted, 0 done, 0 entries", s)
-	}
-	if s.ResidentBytes != 0 || s.CapturingBytes != 0 {
-		t.Fatalf("byte accounting leaked after abort: %+v", s)
-	}
-
-	r2, rel2, out := c.Reader("w", src.n, src.reader)
-	if out != OutcomeCapture {
-		t.Fatalf("post-abort outcome %q, want a fresh capture", out)
-	}
-	sameRecs(t, trace.Collect(r2, 0), src.expected())
-	rel2()
-	if got := c.Stats().CapturesDone; got != 1 {
-		t.Errorf("captures done = %d, want 1", got)
-	}
-}
-
-// A follower that outlives an abandoned capture falls back to a live
-// emulator and still observes the exact full stream.
-func TestFollowerFallsBackOpen(t *testing.T) {
-	src := &synthSource{seed: 13, n: publishChunk * 3}
-	c := New(64 << 20)
-
-	lead, releaseLead, _ := c.Reader("w", src.n, src.reader)
-	var rec trace.Rec
-	// Publish exactly two chunks, then stall the lead mid-third-chunk.
-	for i := 0; i < publishChunk*2+10; i++ {
-		lead.Next(&rec)
-	}
-
-	follower, relF, out := c.Reader("w", src.n, src.reader)
-	if out != OutcomeFollow {
-		t.Fatalf("follower outcome %q, want follow", out)
-	}
-	var got []trace.Rec
-	// The follower can consume the published prefix without parking.
-	for i := 0; i < publishChunk*2; i++ {
-		if !follower.Next(&rec) {
-			t.Fatal("published prefix ended early")
-		}
-		got = append(got, rec)
-	}
-
-	releaseLead() // abandon: follower must fail open to live emulation
-	for follower.Next(&rec) {
-		got = append(got, rec)
-	}
-	relF()
-	sameRecs(t, got, src.expected())
-
-	s := c.Stats()
-	if s.Fallbacks != 1 || s.CapturesAborted != 1 {
-		t.Errorf("stats %+v: want 1 fallback, 1 aborted", s)
-	}
-	if s.Emulations != 2 { // lead + the follower's fallback
-		t.Errorf("emulations = %d, want 2", s.Emulations)
-	}
-}
-
-// Concurrent readers over one key: single-flight (one emulation), every
-// stream identical, and parked followers are woken by chunk publication.
-// CI runs this under -race.
+// Concurrent readers over one key: single-flight (one emulation) and every
+// stream identical. CI runs this under -race.
 func TestConcurrentReadersSingleFlight(t *testing.T) {
-	src := &synthSource{seed: 17, n: publishChunk*4 + 99}
+	src := &synthSource{seed: 17, n: 16483}
 	c := New(64 << 20)
 	want := src.expected()
 
@@ -251,13 +238,13 @@ func TestBypassPaths(t *testing.T) {
 	}
 }
 
-// Completing a second capture under a budget that holds only one stream
+// Reserving a second capture under a budget that holds only one stream
 // evicts the least-recently-used entry; a reader for the victim re-captures.
 func TestEvictionUnderPressure(t *testing.T) {
-	const n = publishChunk + 500
+	const n = 4596
 	a := &synthSource{seed: 23, n: n}
 	b := &synthSource{seed: 29, n: n}
-	c := New(int64(n+publishChunk) * RecSize) // one stream + headroom, not two
+	c := New(int64(n+n/2) * RecSize) // one stream + headroom, not two
 
 	ra, relA, _ := c.Reader("a", n, a.reader)
 	sameRecs(t, trace.Collect(ra, 0), a.expected())
@@ -287,52 +274,84 @@ func TestEvictionUnderPressure(t *testing.T) {
 	}
 }
 
-// When concurrent captures outgrow the budget with nothing left to evict,
-// the later capture fails open: it keeps streaming (uncached) and its
-// followers fall back, so correctness never depends on the budget.
-func TestCaptureAbortsWhenBudgetExhausted(t *testing.T) {
-	const n = publishChunk + 100
-	a := &synthSource{seed: 31, n: n}
+// A capture reserves its whole stream before it emulates. While one
+// capture holds a reservation that leaves no room for a second, the second
+// streams live, uncached, so correctness never depends on the budget and
+// the budget is never overshot.
+func TestCaptureBypassesWhenReservationFails(t *testing.T) {
+	const n = 4196
+	a := &synthSource{seed: 31, n: n, gate: make(chan struct{})}
 	b := &synthSource{seed: 37, n: n}
-	// Holds one full stream, but not two concurrently published chunks —
-	// and with both captures in flight there is nothing resident to evict.
-	c := New(int64(publishChunk*3/2) * RecSize)
+	c := New(int64(n*3/2) * RecSize) // one stream, not two
 
-	ra, relA, _ := c.Reader("a", n, a.reader)
-	rb, relB, _ := c.Reader("b", n, b.reader)
-	var rec trace.Rec
-	gotA := make([]trace.Rec, 0, n)
-	gotB := make([]trace.Rec, 0, n)
-	// Interleave so both leads publish their first chunk while the other is
-	// still in flight: the second publication exceeds the budget and that
-	// capture must fail open while its stream keeps flowing.
-	for i := 0; i < n; i++ {
-		if !ra.Next(&rec) {
-			t.Fatal("a ended early")
-		}
-		gotA = append(gotA, rec)
-		if !rb.Next(&rec) {
-			t.Fatal("b ended early")
-		}
-		gotB = append(gotB, rec)
+	lead := readAsync(c, "a", a)
+	waitFor(t, "the capture of a to start", func() bool { return c.Stats().Capturing == 1 })
+
+	rb, relB, out := c.Reader("b", n, b.reader)
+	if out != OutcomeBypass {
+		t.Fatalf("outcome %q with the budget reserved, want bypass", out)
 	}
-	// Drain past the end so the surviving capture finishes.
-	if ra.Next(&rec) || rb.Next(&rec) {
-		t.Fatal("stream longer than requested")
-	}
-	relA()
+	sameRecs(t, trace.Collect(rb, 0), b.expected())
 	relB()
-	sameRecs(t, gotA, a.expected())
-	sameRecs(t, gotB, b.expected())
-
 	s := c.Stats()
-	if s.CapturesDone != 1 || s.CapturesAborted != 1 {
-		t.Errorf("stats %+v: want exactly one capture retained, one aborted", s)
+	if s.ResidentBytes+s.CapturingBytes > c.Budget() {
+		t.Errorf("budget overshoot: %d resident + %d capturing > %d",
+			s.ResidentBytes, s.CapturingBytes, c.Budget())
+	}
+	if s.CapturingBytes != int64(n)*RecSize || s.Capturing != 1 {
+		t.Errorf("stats %+v: want one capture of %d bytes in flight", s, int64(n)*RecSize)
+	}
+
+	close(a.gate)
+	got := <-lead
+	if got.outcome != OutcomeCapture {
+		t.Fatalf("lead outcome %q, want capture", got.outcome)
+	}
+	sameRecs(t, got.recs, a.expected())
+	s = c.Stats()
+	if s.Captures != 1 || s.CapturesDone != 1 || s.Bypasses != 1 || s.TooLarge != 0 {
+		t.Errorf("stats %+v: want 1 capture retained, 1 bypass, 0 too-large", s)
 	}
 	if s.ResidentBytes+s.CapturingBytes > c.Budget() {
 		t.Errorf("budget overshoot: %d resident + %d capturing > %d",
 			s.ResidentBytes, s.CapturingBytes, c.Budget())
 	}
+}
+
+// A lead whose source panics still finishes its flight: the follower
+// parked on it gets the exact stream from a live emulator, the reservation
+// is returned, and the next reader captures afresh.
+func TestPanickingLeadReleasesFollowers(t *testing.T) {
+	src := &synthSource{seed: 43, n: 5000, gate: make(chan struct{}), panicAt: 1234}
+	c := New(64 << 20)
+
+	lead := readAsync(c, "w", src)
+	waitFor(t, "the capture to start", func() bool { return c.Stats().Capturing == 1 })
+	follower := readAsync(c, "w", src)
+	waitFor(t, "the follower to join", func() bool { return c.Stats().Follows == 1 })
+	close(src.gate)
+
+	if got := <-lead; !got.panicked {
+		t.Fatalf("lead returned %q without the source's panic", got.outcome)
+	}
+	got := <-follower
+	if got.panicked || got.outcome != OutcomeBypass {
+		t.Fatalf("follower outcome %q (panicked %v), want a live bypass", got.outcome, got.panicked)
+	}
+	sameRecs(t, got.recs, src.expected())
+
+	s := c.Stats()
+	if s.Capturing != 0 || s.CapturingBytes != 0 || s.CapturesDone != 0 || s.Entries != 0 {
+		t.Fatalf("stats %+v: want no capture in flight or retained", s)
+	}
+	if s.Emulations != 2 { // the lead + the follower's live stream
+		t.Errorf("emulations = %d, want 2", s.Emulations)
+	}
+	next := <-readAsync(c, "w", src)
+	if next.outcome != OutcomeCapture {
+		t.Fatalf("next outcome %q, want a fresh capture", next.outcome)
+	}
+	sameRecs(t, next.recs, src.expected())
 }
 
 func TestNegativeBudgetIsDisabled(t *testing.T) {
